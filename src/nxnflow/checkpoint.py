@@ -11,7 +11,10 @@ Layout (all little-endian):
         the Adam m then v arrays, float64, same shape as the param
     u32 length + rng-state JSON (UTF-8)
 
-Round trips are bit-exact; loading refuses a mismatched config echo.
+Text fields that are not UTF-8 raise FormatError at the offending byte.
+Version 2 names the per-channel affine parameters ``log_scale``/``bias``;
+version 1 files are refused. Round trips are bit-exact; loading refuses a
+mismatched config echo.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 NXNF_MAGIC = b"NXNF"
-NXNF_VERSION = 1
+NXNF_VERSION = 2
 
 
 @dataclass
@@ -106,6 +109,13 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        start = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not UTF-8", offset=start + e.start)
+
 
 def deserialize(raw: bytes) -> Checkpoint:
     r = _Reader(raw)
@@ -115,13 +125,13 @@ def deserialize(raw: bytes) -> Checkpoint:
     if version != NXNF_VERSION:
         raise FormatError(f"unsupported NXNF version {version}", offset=4)
     (cfg_len,) = r.unpack("<I")
-    config_text = r.take(cfg_len).decode()
+    config_text = r.text(cfg_len, "config echo")
     (step,) = r.unpack("<Q")
     (count,) = r.unpack("<I")
     params = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        name = r.text(name_len, "array name")
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I") if rank else ()
         size = int(np.prod(shape)) if shape else 1
@@ -134,7 +144,7 @@ def deserialize(raw: bytes) -> Checkpoint:
         (opt_count,) = r.unpack("<I")
         for _ in range(opt_count):
             (name_len,) = r.unpack("<H")
-            name = r.take(name_len).decode()
+            name = r.text(name_len, "array name")
             if name not in params:
                 raise FormatError(f"optimizer state for unknown param {name!r}",
                                   offset=r.pos)
@@ -143,7 +153,7 @@ def deserialize(raw: bytes) -> Checkpoint:
             adam_m[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
             adam_v[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
     (rng_len,) = r.unpack("<I")
-    rng_state = r.take(rng_len).decode()
+    rng_state = r.text(rng_len, "rng state")
     if r.pos != len(raw):
         raise FormatError("trailing bytes after checkpoint", offset=r.pos)
     return Checkpoint(config_text, step, params, adam_t, adam_m, adam_v, rng_state)

@@ -1,14 +1,15 @@
 """Command-line entry point: train, eval, sample, verify.
 
 All randomness flows from a single seed; subsystems get labeled child
-streams. Output files are written atomically (temp + rename). The
-NXNFLOW_THREADS environment variable caps worker parallelism (evaluation
-here is sequential, which respects any cap).
+streams. Output files are written atomically (temp + rename). Every error
+ends in one line on stderr and an exit code: 2 config, 3 data, format or
+file access, 4 numeric, 5 other.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -16,30 +17,12 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import data as data_io
-from .config import RunConfig, model_config_from_text, parse_kv_lines
+from .config import RunConfig, model_config_from_text
 from .errors import ConfigError, DataError, FormatError, NumericError, NxnFlowError
-from .model import MultiScaleModel, bits_per_dim
+from .model import ModelConfig, bits_per_dim, build_model
 from .suites import SUITES, run_suites
 from .tensor import Rng
-from .training import METRICS_HEADER, TrainConfig, evaluate_nll, train
-from .model import ModelConfig
-
-
-def worker_cap() -> int:
-    raw = os.environ.get("NXNFLOW_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"NXNFLOW_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("NXNFLOW_THREADS must be >= 1")
-    return value
-
-
-def _build_model(cfg: ModelConfig, seed: int) -> MultiScaleModel:
-    return MultiScaleModel(cfg, Rng(seed).child("model_init"))
+from .training import METRICS_HEADER, evaluate_nll, train
 
 
 def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.ndarray:
@@ -95,7 +78,7 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(args.out, "checkpoint.nxnf")
     metrics_path = os.path.join(args.out, "metrics.csv")
 
-    model = _build_model(model_cfg, train_cfg.seed)
+    model = build_model(model_cfg, train_cfg.seed)
     resume = None
     if args.resume:
         loaded = ckpt_io.load(args.resume)
@@ -104,10 +87,9 @@ def cmd_train(args) -> int:
             raise ConfigError("checkpoint has no optimizer state; cannot resume")
         resume = (loaded.step,
                   {"t": loaded.adam_t, "m": loaded.adam_m, "v": loaded.adam_v},
-                  __import__("json").loads(loaded.rng_state))
+                  json.loads(loaded.rng_state))
 
     def on_checkpoint(step, opt, rng_states):
-        import json
         snapshot = ckpt_io.Checkpoint(
             config_text=model_cfg.to_text(),
             step=step,
@@ -136,7 +118,7 @@ def cmd_train(args) -> int:
 def _model_from_checkpoint(path):
     loaded = ckpt_io.load(path)
     model_cfg = model_config_from_text(loaded.config_text)
-    model = _build_model(model_cfg, 0)
+    model = build_model(model_cfg, 0)
     ckpt_io.restore_model(loaded, model)
     return model, model_cfg, loaded
 
@@ -239,13 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    worker_cap()  # validate NXNFLOW_THREADS before doing any work
     try:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, FormatError) as e:
+    except (DataError, FormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

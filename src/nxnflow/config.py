@@ -6,6 +6,8 @@ work starts. CLI flags override file values.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -30,8 +32,6 @@ KNOWN_KEYS = {
     "data.kind": (str, "eight_gaussians"),
     "data.path": (str, ""),
     "data.n": (int, 4096),
-    "sample.count": (int, 64),
-    "sample.temperature": (float, 1.0),
 }
 
 
@@ -76,18 +76,7 @@ class RunConfig:
         return self.values[key]
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            mode=self["model.mode"],
-            channels=self["model.channels"],
-            height=self["model.height"],
-            width=self["model.width"],
-            dim=self["model.dim"],
-            depth_k=self["model.depth_k"],
-            levels=self["model.levels"],
-            hidden_width=self["model.hidden_width"],
-            inv1x1_mode=self["model.inv1x1_mode"],
-            bits=self["model.bits"],
-        )
+        return ModelConfig(**{f.name: self[f"model.{f.name}"] for f in fields(ModelConfig)})
 
     def train_config(self) -> TrainConfig:
         try:

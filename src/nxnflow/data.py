@@ -8,7 +8,7 @@ NXNI is a flat little-endian binary container for small integer image sets:
     offset 28  payload: count*channels*height*width unsigned bytes, NCHW order
 
 Every payload value must be < 2^bits. PPM (P6, maxval 255) can be imported
-one-way for convenience.
+one-way for convenience. Every writer here replaces its file atomically.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import ConfigError, DataError, FormatError
 from .tensor import Rng
 
@@ -96,9 +97,7 @@ def quantize_bits(x_int8: np.ndarray, target_bits: int) -> np.ndarray:
 def save_images(ds: ImageDataset, path) -> None:
     count, c, h, w = ds.images.shape
     header = _HEADER.pack(NXNI_MAGIC, NXNI_VERSION, count, c, h, w, ds.bits)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(ds.images, dtype=np.uint8).tobytes())
+    write_atomic(path, header + np.ascontiguousarray(ds.images, dtype=np.uint8).tobytes())
 
 
 def load_images(path) -> ImageDataset:
@@ -170,9 +169,8 @@ def save_ppm_montage(images: np.ndarray, bits: int, path, cols: int = 8) -> None
         if c == 1:
             img = np.repeat(img, 3, axis=0)
         canvas[:, r * h:(r + 1) * h, col * w:(col + 1) * w] = img[:3].astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{canvas.shape[2]} {canvas.shape[1]}\n255\n".encode())
-        f.write(canvas.transpose(1, 2, 0).tobytes())
+    header = f"P6\n{canvas.shape[2]} {canvas.shape[1]}\n255\n".encode()
+    write_atomic(path, header + canvas.transpose(1, 2, 0).tobytes())
 
 
 def gen_textures(n: int, channels: int, size: int, bits: int, rng: Rng) -> ImageDataset:
@@ -199,18 +197,30 @@ def gen_textures(n: int, channels: int, size: int, bits: int, rng: Rng) -> Image
 
 
 def save_points_csv(points: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in points:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points)
+    write_atomic(path, text.encode())
 
 
 def load_points_csv(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 at byte offset {e.start}")
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: not a number: {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise DataError(f"{path} line {lineno}: {len(row)} columns, "
+                            f"expected {len(rows[0])}")
+        rows.append(row)
     if not rows:
         return np.zeros((0, 2))
     return np.asarray(rows, dtype=np.float64)

@@ -10,8 +10,9 @@ where ``dlogdet`` is dL/dlogdet per sample and ``grads`` mirrors the keys
 of ``params()``. Inputs are rank-4 NCHW arrays or rank-2 N x D arrays
 (the toy-2D mode, where the spatial factor H*W is 1).
 
-Per-channel scales are stored as logs, so they stay strictly positive and
-an identity initialization is a zero log.
+The invertible n x n convolution is a ChannelAffine shift followed by an
+Inv1x1 mix. Per-channel scales are stored as logs, so they stay strictly
+positive and an identity initialization is a zero log.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateChannelError, ShapeError, SingularMatrixError, StateError
-from .tensor import Rng, channel_affine, lu_factor, lu_slogdet, num_channels, spatial_size
+from .tensor import (Rng, channel_affine, channel_matmul, lu_factor, lu_slogdet, num_channels,
+                     spatial_size)
 
 
 def _per_channel(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -39,23 +41,30 @@ def _sum_per_channel(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0)
 
 
-class ActNorm:
-    """Per-channel affine y = gamma * x + beta with data-dependent init."""
+class ChannelAffine:
+    """Per-channel affine map y = exp(log_scale) * x + bias.
 
-    def __init__(self, channels: int):
+    A flow step uses it twice. As actnorm (``data_init=True``) it starts
+    uninitialized and ``init_from_batch`` sets it so the batch leaves with
+    zero mean and unit variance per channel. As the shift of the n x n
+    convolution it starts at the identity and trains freely. The Jacobian
+    is diagonal, so the log-det is H*W * sum_c log_scale_c.
+    """
+
+    def __init__(self, channels: int, data_init: bool = False):
         self.channels = channels
-        self.log_gamma = np.zeros(channels)
-        self.beta = np.zeros(channels)
-        self.initialized = False
+        self.log_scale = np.zeros(channels)
+        self.bias = np.zeros(channels)
+        self.initialized = not data_init
 
     def params(self):
-        return {"log_gamma": self.log_gamma, "beta": self.beta}
+        return {"log_scale": self.log_scale, "bias": self.bias}
 
     def init_from_batch(self, batch: np.ndarray) -> None:
         if self.initialized:
-            raise StateError("actnorm already initialized")
+            raise StateError("channel affine layer already initialized")
         if batch.shape[0] < 2:
-            raise StateError("actnorm init needs at least 2 samples")
+            raise StateError("data-dependent init needs at least 2 samples")
         axes = (0, 2, 3) if batch.ndim == 4 else (0,)
         mu = batch.mean(axis=axes)
         sigma = batch.std(axis=axes)
@@ -64,66 +73,31 @@ class ActNorm:
             raise DegenerateChannelError(
                 f"channel {bad} has std {sigma[bad]:.3e} < 1e-6"
             )
-        self.log_gamma = -np.log(sigma)
-        self.beta = -mu / sigma
+        self.log_scale = -np.log(sigma)
+        self.bias = -mu / sigma
         self.initialized = True
 
     def forward(self, x):
         if not self.initialized:
-            raise StateError("actnorm used before initialization")
-        gamma = np.exp(self.log_gamma)
-        y = channel_affine(x, gamma, self.beta)
-        logdet = np.full(x.shape[0], spatial_size(x) * self.log_gamma.sum())
+            raise StateError("channel affine layer used before init_from_batch")
+        scale = np.exp(self.log_scale)
+        y = channel_affine(x, scale, self.bias)
+        logdet = np.full(x.shape[0], spatial_size(x) * self.log_scale.sum())
         return y, logdet, {"x": x}
 
     def inverse(self, y):
         if not self.initialized:
-            raise StateError("actnorm used before initialization")
-        gamma = np.exp(self.log_gamma)
-        return channel_affine(y, 1.0 / gamma, -self.beta / gamma)
+            raise StateError("channel affine layer used before init_from_batch")
+        scale = np.exp(self.log_scale)
+        return channel_affine(y, 1.0 / scale, -self.bias / scale)
 
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
-        gamma = np.exp(self.log_gamma)
-        dx = dy * _per_channel(gamma, dy)
-        g_beta = _sum_per_channel(dy)
-        g_log_gamma = _sum_per_channel(dy * x) * gamma + spatial_size(x) * dlogdet.sum()
-        return dx, {"log_gamma": g_log_gamma, "beta": g_beta}
-
-
-class Shift:
-    """The invertible per-channel shift map y = alpha * x + beta.
-
-    Identical functional form to ActNorm but initialized at the identity
-    (alpha = 1, beta = 0) and trained freely; its Jacobian is diagonal so
-    the log-determinant is H*W * sum_c log alpha_c.
-    """
-
-    def __init__(self, channels: int):
-        self.channels = channels
-        self.log_alpha = np.zeros(channels)
-        self.beta = np.zeros(channels)
-
-    def params(self):
-        return {"log_alpha": self.log_alpha, "beta": self.beta}
-
-    def forward(self, x):
-        alpha = np.exp(self.log_alpha)
-        y = channel_affine(x, alpha, self.beta)
-        logdet = np.full(x.shape[0], spatial_size(x) * self.log_alpha.sum())
-        return y, logdet, {"x": x}
-
-    def inverse(self, y):
-        alpha = np.exp(self.log_alpha)
-        return channel_affine(y, 1.0 / alpha, -self.beta / alpha)
-
-    def backward(self, dy, dlogdet, cache):
-        x = cache["x"]
-        alpha = np.exp(self.log_alpha)
-        dx = dy * _per_channel(alpha, dy)
-        g_beta = _sum_per_channel(dy)
-        g_log_alpha = _sum_per_channel(dy * x) * alpha + spatial_size(x) * dlogdet.sum()
-        return dx, {"log_alpha": g_log_alpha, "beta": g_beta}
+        scale = np.exp(self.log_scale)
+        dx = dy * _per_channel(scale, dy)
+        g_bias = _sum_per_channel(dy)
+        g_log_scale = _sum_per_channel(dy * x) * scale + spatial_size(x) * dlogdet.sum()
+        return dx, {"log_scale": g_log_scale, "bias": g_bias}
 
 
 class Inv1x1:
@@ -164,12 +138,17 @@ class Inv1x1:
             "log_u_diag": self.log_u_diag,
         }
 
+    def _triangles(self) -> tuple[np.ndarray, np.ndarray]:
+        """The PLU factors L (unit lower) and U (upper) from the parameters."""
+        lower = np.tril(self.l_strict, -1) + np.eye(self.channels)
+        upper = np.triu(self.u_off, 1) + np.diag(self.u_sign * np.exp(self.log_u_diag))
+        return lower, upper
+
     @property
     def matrix(self) -> np.ndarray:
         if self.mode == "direct":
             return self.w
-        lower = np.tril(self.l_strict, -1) + np.eye(self.channels)
-        upper = np.triu(self.u_off, 1) + np.diag(self.u_sign * np.exp(self.log_u_diag))
+        lower, upper = self._triangles()
         return self.p @ lower @ upper
 
     def _logdet_scalar(self) -> float:
@@ -180,15 +159,10 @@ class Inv1x1:
             return logabs
         return float(self.log_u_diag.sum())
 
-    def _apply(self, m, x):
-        if x.ndim == 4:
-            return np.einsum("dc,nchw->ndhw", m, x, optimize=True)
-        return x @ m.T
-
     def forward(self, x):
         w = self.matrix
         logdet = np.full(x.shape[0], spatial_size(x) * self._logdet_scalar())
-        return self._apply(w, x), logdet, {"x": x}
+        return channel_matmul(w, x), logdet, {"x": x}
 
     def inverse(self, y):
         n = y.shape[0]
@@ -202,8 +176,7 @@ class Inv1x1:
                 raise SingularMatrixError("1x1 convolution matrix is singular")
             solved = np.linalg.solve(self.w, fibers)
         else:
-            lower = np.tril(self.l_strict, -1) + np.eye(self.channels)
-            upper = np.triu(self.u_off, 1) + np.diag(self.u_sign * np.exp(self.log_u_diag))
+            lower, upper = self._triangles()
             tmp = solve_triangular(lower, self.p.T @ fibers, lower=True, unit_diagonal=True)
             solved = solve_triangular(upper, tmp, lower=False)
         if y.ndim == 4:
@@ -217,12 +190,11 @@ class Inv1x1:
             gw = np.einsum("ndhw,nchw->dc", dy, x, optimize=True)
         else:
             gw = dy.T @ x
-        dx = self._apply(self.matrix.T, dy)
+        dx = channel_matmul(self.matrix.T, dy)
         ld = hw * dlogdet.sum()
         if self.mode == "direct":
             return dx, {"w": gw + ld * np.linalg.inv(self.w).T}
-        lower = np.tril(self.l_strict, -1) + np.eye(self.channels)
-        upper = np.triu(self.u_off, 1) + np.diag(self.u_sign * np.exp(self.log_u_diag))
+        lower, upper = self._triangles()
         g_lower = self.p.T @ gw @ upper.T
         g_upper = lower.T @ self.p.T @ gw
         g_log_u = np.diag(g_upper) * self.u_sign * np.exp(self.log_u_diag) + ld
@@ -430,21 +402,9 @@ def split_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if c % 2:
         raise ShapeError(f"split needs an even channel count, got {c}")
     half = c // 2
-    if x.ndim == 4:
-        return x[:, :half].copy(), x[:, half:].copy()
     return x[:, :half].copy(), x[:, half:].copy()
 
 
 def unsplit_channels(kept: np.ndarray, factored: np.ndarray) -> np.ndarray:
     return np.concatenate([kept, factored], axis=1)
 
-
-def nxn_conv_forward(shift: Shift, mix: Inv1x1, x: np.ndarray):
-    """The invertible n x n convolution: shift, then 1x1 mix."""
-    h, ld1, c1 = shift.forward(x)
-    y, ld2, c2 = mix.forward(h)
-    return y, ld1 + ld2, (c1, c2)
-
-
-def nxn_conv_inverse(shift: Shift, mix: Inv1x1, y: np.ndarray) -> np.ndarray:
-    return shift.inverse(mix.inverse(y))

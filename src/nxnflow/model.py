@@ -2,20 +2,22 @@
 
 One flow step applies actnorm, then the invertible n x n convolution
 (per-channel shift composed with an invertible 1x1 convolution), then an
-affine coupling. Exact log-likelihood is the standard-normal prior term
-on all latent parts plus the accumulated log-determinant.
+affine coupling; actnorm and the shift are both ChannelAffine layers. The
+whole flow is one ordered list of named layers with split markers between
+levels, and every pass over the model is one loop over that list. Exact
+log-likelihood is the standard-normal prior term on all latent parts plus
+the accumulated log-determinant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .layers import (ActNorm, Coupling, Inv1x1, Shift, split_channels, squeeze2x2,
-                     unsplit_channels, unsqueeze2x2)
+from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze, split_channels, unsplit_channels
 from .tensor import Rng
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -73,23 +75,16 @@ class ModelConfig:
     def level_shapes(self):
         """(channels, h, w) seen by the flow steps of each level (post-squeeze)."""
         out = []
-        if self.mode == "image":
-            c, h, w = self.channels, self.height, self.width
-            for lev in range(self.levels):
+        image = self.mode == "image"
+        c, h, w = (self.channels, self.height, self.width) if image else (self.dim, 1, 1)
+        for lev in range(self.levels):
+            if image:
                 c, h, w = 4 * c, h // 2, w // 2
-                out.append((c, h, w))
-                if lev < self.levels - 1:
-                    if c % 2:
-                        raise ConfigError("split needs an even channel count")
-                    c //= 2
-        else:
-            c = self.dim
-            for lev in range(self.levels):
-                out.append((c, 1, 1))
-                if lev < self.levels - 1:
-                    if c % 2:
-                        raise ConfigError("split needs an even channel count")
-                    c //= 2
+            out.append((c, h, w))
+            if lev < self.levels - 1:
+                if c % 2:
+                    raise ConfigError("split needs an even channel count")
+                c //= 2
         return out
 
     def z_shapes(self):
@@ -105,9 +100,7 @@ class ModelConfig:
         return shapes
 
     def to_text(self) -> str:
-        keys = ["mode", "channels", "height", "width", "dim", "depth_k",
-                "levels", "hidden_width", "inv1x1_mode", "bits"]
-        return "\n".join(f"model.{k} = {getattr(self, k)}" for k in keys) + "\n"
+        return "".join(f"model.{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
 
 @dataclass
@@ -121,8 +114,8 @@ class FlowStep:
 
     def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng,
                  inv1x1_mode: str = "plu"):
-        self.actnorm = ActNorm(channels)
-        self.shift = Shift(channels)
+        self.actnorm = ChannelAffine(channels, data_init=True)
+        self.shift = ChannelAffine(channels)
         self.mix = Inv1x1(channels, rng.child("mix"), mode=inv1x1_mode)
         self.coupling = Coupling(channels, hidden, kernel, rng.child("coupling"))
 
@@ -143,40 +136,49 @@ def bits_per_dim(nll_nats: float, dims: int, bits: int) -> float:
     return nll_nats / (dims * math.log(2.0)) + bits
 
 
+# The flow entry that moves half the channels to the latent between levels.
+SPLIT = ("split", None)
+
+
 class MultiScaleModel:
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
         kernel = 3 if config.mode == "image" else 1
         self.steps = []  # per level: list of FlowStep
+        self.flow = []   # (name, layer) in forward order; SPLIT between levels
         for lev, (c, _, _) in enumerate(config.level_shapes()):
+            if lev > 0:
+                self.flow.append(SPLIT)
+            if config.mode == "image":
+                self.flow.append((f"level{lev}/squeeze", Squeeze()))
             lev_rng = rng.child(f"level{lev}")
-            self.steps.append([
-                FlowStep(c, config.hidden_width, kernel, lev_rng.child(f"step{k}"),
-                         config.inv1x1_mode)
-                for k in range(config.depth_k)
-            ])
+            steps = [FlowStep(c, config.hidden_width, kernel, lev_rng.child(f"step{k}"),
+                              config.inv1x1_mode)
+                     for k in range(config.depth_k)]
+            self.steps.append(steps)
+            for k, step in enumerate(steps):
+                self.flow += [(f"level{lev}/step{k}/{kind}", layer)
+                              for kind, layer in step.sublayers()]
 
     # -- parameters -------------------------------------------------------
 
     def param_tree(self) -> dict:
         """Flat name -> live array view of every learnable parameter."""
         out = {}
-        for lev, steps in enumerate(self.steps):
-            for k, step in enumerate(steps):
-                for lname, layer in step.sublayers():
-                    for pname, arr in layer.params().items():
-                        out[f"level{lev}/step{k}/{lname}/{pname}"] = arr
+        for name, layer in self.flow:
+            if layer is not None:
+                for pname, arr in layer.params().items():
+                    out[f"{name}/{pname}"] = arr
         return out
 
     def buffer_tree(self) -> dict:
         """Non-learnable state that must survive a checkpoint round trip
         (the PLU permutation and diagonal signs)."""
         out = {}
-        for lev, steps in enumerate(self.steps):
-            for k, step in enumerate(steps):
-                if step.mix.mode == "plu":
-                    out[f"level{lev}/step{k}/mix/p"] = step.mix.p
-                    out[f"level{lev}/step{k}/mix/u_sign"] = step.mix.u_sign
+        for name, layer in self.flow:
+            if isinstance(layer, Inv1x1) and layer.mode == "plu":
+                out[f"{name}/p"] = layer.p
+                out[f"{name}/u_sign"] = layer.u_sign
         return out
 
     def set_buffers(self, tree: dict) -> None:
@@ -198,14 +200,13 @@ class MultiScaleModel:
     def init_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent actnorm init, layer by layer along the flow."""
         h = self._check_input(batch)
-        for lev, steps in enumerate(self.steps):
-            h = self._enter_level(h)
-            for step in steps:
-                step.actnorm.init_from_batch(h)
-                for _, layer in step.sublayers():
-                    h, _, _ = layer.forward(h)
-            if lev < self.config.levels - 1:
+        for name, layer in self.flow:
+            if layer is None:
                 h, _ = split_channels(h)
+                continue
+            if name.endswith("/actnorm"):
+                layer.init_from_batch(h)
+            h, _, _ = layer.forward(h)
 
     # -- forward / inverse --------------------------------------------------
 
@@ -216,38 +217,24 @@ class MultiScaleModel:
             raise ShapeError(f"input shape {x.shape[1:]} does not match config {expect}")
         return x
 
-    def _enter_level(self, h):
-        if self.config.mode == "image":
-            return squeeze2x2(h)
-        return h
-
-    def _exit_level(self, h):
-        if self.config.mode == "image":
-            return unsqueeze2x2(h)
-        return h
-
     def forward_with_tape(self, x: np.ndarray):
-        """Returns (FlowOutput, tape); tape drives the exact backward pass."""
+        """Returns (FlowOutput, tape); the tape holds one cache per flow entry
+        and drives the exact backward pass."""
         h = self._check_input(x)
-        n = h.shape[0]
-        logdet = np.zeros(n)
+        logdet = np.zeros(h.shape[0])
         z_parts = []
         tape = []
-        for lev, steps in enumerate(self.steps):
-            h = self._enter_level(h)
-            tape.append(("enter_level", lev))
-            for k, step in enumerate(steps):
-                for lname, layer in step.sublayers():
-                    h, ld, cache = layer.forward(h)
-                    if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
-                        raise NumericError(
-                            f"non-finite activation at level{lev}/step{k}/{lname}")
-                    logdet += ld
-                    tape.append(("layer", f"level{lev}/step{k}/{lname}", layer, cache))
-            if lev < self.config.levels - 1:
+        for name, layer in self.flow:
+            if layer is None:
                 h, factored = split_channels(h)
                 z_parts.append(factored)
-                tape.append(("split",))
+                tape.append(None)
+                continue
+            h, ld, cache = layer.forward(h)
+            if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
+                raise NumericError(f"non-finite activation at {name}")
+            logdet += ld
+            tape.append(cache)
         z_parts.append(h)
         return FlowOutput(z_parts=z_parts, logdet=logdet), tape
 
@@ -262,14 +249,15 @@ class MultiScaleModel:
         for z, s in zip(z_parts, shapes):
             if tuple(z.shape[1:]) != tuple(s):
                 raise ShapeError(f"latent part shape {z.shape[1:]} != expected {s}")
-        h = np.asarray(z_parts[-1], dtype=np.float64)
-        for lev in reversed(range(self.config.levels)):
-            if lev < self.config.levels - 1:
-                h = unsplit_channels(h, np.asarray(z_parts[lev], dtype=np.float64))
-            for step in reversed(self.steps[lev]):
-                for _, layer in reversed(step.sublayers()):
-                    h = layer.inverse(h)
-            h = self._exit_level(h)
+        parts = [np.asarray(z, dtype=np.float64) for z in z_parts]
+        h = parts.pop()
+        for name, layer in reversed(self.flow):
+            if layer is None:
+                h = unsplit_channels(h, parts.pop())
+                continue
+            h = layer.inverse(h)
+            if not np.all(np.isfinite(h)):
+                raise NumericError(f"non-finite activation at {name}")
         return h
 
     # -- likelihood ---------------------------------------------------------
@@ -292,17 +280,13 @@ class MultiScaleModel:
         dz_parts = [z / n for z in out.z_parts]
         grads = {}
         g = dz_parts.pop()
-        for entry in reversed(tape):
-            if entry[0] == "split":
+        for (name, layer), cache in zip(reversed(self.flow), reversed(tape)):
+            if layer is None:
                 g = unsplit_channels(g, dz_parts.pop())
-            elif entry[0] == "enter_level":
-                if self.config.mode == "image":
-                    g = unsqueeze2x2(g)
-            else:
-                _, name, layer, cache = entry
-                g, layer_grads = layer.backward(g, dlogdet, cache)
-                for pname, garr in layer_grads.items():
-                    grads[f"{name}/{pname}"] = garr
+                continue
+            g, layer_grads = layer.backward(g, dlogdet, cache)
+            for pname, garr in layer_grads.items():
+                grads[f"{name}/{pname}"] = garr
         return loss, grads, nll
 
     def sample(self, n: int, temperature: float, rng: Rng) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import verify
-from .layers import ActNorm, Coupling, Inv1x1, Shift, Squeeze
+from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze
 from .model import ModelConfig, MultiScaleModel
 from .tensor import Rng
 from .verify import CheckResult, StandardConvSpec
@@ -19,16 +19,10 @@ LAYER_KINDS = ("actnorm", "shift", "inv1x1_plu", "inv1x1_direct", "coupling")
 
 
 def random_layer(kind: str, channels: int, rng: Rng, hidden: int = 8, kernel: int = 3):
-    if kind == "actnorm":
-        layer = ActNorm(channels)
-        layer.log_gamma = 0.5 * rng.normal((channels,))
-        layer.beta = rng.normal((channels,))
-        layer.initialized = True
-        return layer
-    if kind == "shift":
-        layer = Shift(channels)
-        layer.log_alpha = 0.5 * rng.normal((channels,))
-        layer.beta = rng.normal((channels,))
+    if kind in ("actnorm", "shift"):
+        layer = ChannelAffine(channels)
+        layer.log_scale = 0.5 * rng.normal((channels,))
+        layer.bias = rng.normal((channels,))
         return layer
     if kind == "inv1x1_plu":
         layer = Inv1x1(channels, rng.child("init"), mode="plu")

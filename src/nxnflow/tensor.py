@@ -19,11 +19,6 @@ from .errors import ShapeError
 PIVOT_TOL = 1e-12
 
 
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
 def spatial_size(x: np.ndarray) -> int:
     """H*W for rank-4 input, 1 for rank-2 (N x D) input."""
     if x.ndim == 4:

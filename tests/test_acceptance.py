@@ -14,7 +14,7 @@ from scipy.cluster.vq import kmeans2
 from nxnflow import verify
 from nxnflow.cli import main
 from nxnflow.data import gen_2d, gen_textures
-from nxnflow.layers import ActNorm
+from nxnflow.layers import ChannelAffine
 from nxnflow.model import ModelConfig, MultiScaleModel, bits_per_dim, build_model
 from nxnflow.suites import (
     suite_conv_equiv,
@@ -127,7 +127,7 @@ class TestAcceptance:
         worst_mu, worst_sigma = 0.0, 0.0
         for trial in range(50):
             rng = Rng(300 + trial)
-            layer = ActNorm(4)
+            layer = ChannelAffine(4, data_init=True)
             x = 3.0 * rng.normal((16, 4, 5, 5)) - 2.0
             layer.init_from_batch(x)
             y, _, _ = layer.forward(x)

@@ -7,8 +7,8 @@ from nxnflow import checkpoint as ckpt_io
 from nxnflow.cli import main
 from nxnflow.config import RunConfig, parse_kv_lines
 from nxnflow.data import load_images, load_points_csv
-from nxnflow.errors import ConfigError
-from nxnflow.model import ModelConfig, MultiScaleModel
+from nxnflow.errors import ConfigError, FormatError
+from nxnflow.model import ModelConfig, MultiScaleModel, build_model
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
 
@@ -46,6 +46,21 @@ data.n = 64
 def write_cfg(tmp_path, text, name="cfg.txt"):
     p = tmp_path / name
     p.write_text(text)
+    return str(p)
+
+
+def untrained_checkpoint(model):
+    return ckpt_io.Checkpoint(model.config.to_text(), 0, ckpt_io.snapshot_params(model),
+                              None, {}, {}, Rng(0).state_json())
+
+
+def rank2_checkpoint(tmp_path, log_scale=0.0):
+    """An untrained rank2 checkpoint whose first shift has the given log_scale."""
+    model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                    hidden_width=8), 0)
+    model.steps[0][0].shift.log_scale[:] = log_scale
+    p = tmp_path / "m.nxnf"
+    ckpt_io.save(untrained_checkpoint(model), p)
     return str(p)
 
 
@@ -96,6 +111,36 @@ class TestCheckpointFormat:
                                             levels=1, hidden_width=8), Rng(0))
         with pytest.raises(ConfigError):
             ckpt_io.restore_model(ck, other)
+
+    def test_version_1_refused(self, tmp_path, capsys):
+        raw = bytearray(ckpt_io.serialize(untrained_checkpoint(random_small_model(Rng(0)))))
+        raw[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="version 1") as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == 4
+        p = tmp_path / "v1.nxnf"
+        p.write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field", ["config echo", "array name", "rng state"])
+    def test_non_utf8_text_names_offset(self, tmp_path, capsys, field):
+        ck = untrained_checkpoint(random_small_model(Rng(0)))
+        raw = bytearray(ckpt_io.serialize(ck))
+        cfg_len = len(ck.config_text.encode())
+        # magic, version and echo length precede the echo; step, count and
+        # the name length precede the first array name; the rng state ends the file
+        offset = {"config echo": 12, "array name": 12 + cfg_len + 8 + 4 + 2,
+                  "rng state": len(raw) - len(ck.rng_state.encode())}[field]
+        raw[offset:offset + 2] = b"\xff\xfe"
+        with pytest.raises(FormatError, match=field) as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == offset
+        p = tmp_path / "bad.nxnf"
+        p.write_bytes(bytes(raw))
+        assert main(["sample", "--checkpoint", str(p), "--out", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"offset {offset}" in err[0]
 
     def test_restored_forward_identical(self, tmp_path):
         model = random_small_model(Rng(3))
@@ -149,6 +194,21 @@ class TestTrainCommand:
         out = tmp_path / "never"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestFileErrors:
+    def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path / "absent.nxnf"),
+                     "--data", "eight_gaussians"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "absent.nxnf" in err[0]
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        ck = rank2_checkpoint(tmp_path)
+        dst = tmp_path / "no_such_dir" / "s.csv"
+        assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not dst.parent.exists()
 
 
 class TestEvalCommand:
@@ -207,6 +267,15 @@ class TestSampleCommand:
                      "--n", "0", "--seed", "1", "--out", str(dst)]) == 0
         assert load_points_csv(dst).shape[0] == 0
 
+    def test_nonfinite_sample_exit_code(self, tmp_path, capsys):
+        # exp(-1e6) underflows to 0, so the shift's inverse divides by zero
+        ck = rank2_checkpoint(tmp_path, log_scale=-1e6)
+        dst = tmp_path / "s.csv"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 4
+        assert "level0/step0/shift" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_image_samples_with_montage(self, trained_image, tmp_path):
         dst = tmp_path / "samples.nxni"
         assert main(["sample", "--checkpoint", trained_image, "--n", "4",
@@ -228,11 +297,3 @@ class TestVerifyCommand:
         a = capsys.readouterr().out
         main(["verify", "--suite", "normalization", "--seed", "4"])
         assert capsys.readouterr().out == a
-
-    def test_threads_env_validated(self, monkeypatch):
-        monkeypatch.setenv("NXNFLOW_THREADS", "zero")
-        from nxnflow.cli import worker_cap
-        with pytest.raises(ConfigError):
-            worker_cap()
-        monkeypatch.setenv("NXNFLOW_THREADS", "2")
-        assert worker_cap() == 2

@@ -175,6 +175,24 @@ class TestCsv:
         save_points_csv(pts, p)
         np.testing.assert_array_equal(load_points_csv(p), pts)
 
+    @pytest.mark.parametrize("raw,what", [(b"1.0,2.0\n\n3.0,abc\n", "line 3: not a number"),
+                                          (b"1.0,2.0\n3.0\n", "line 2: 1 columns, expected 2"),
+                                          (b"1.0,2.0\n\xff\xfe,1\n", "not UTF-8 at byte offset 8")])
+    def test_malformed_input_is_data_error(self, tmp_path, raw, what):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(raw)
+        with pytest.raises(DataError, match=what):
+            load_points_csv(p)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        save_points_csv(np.ones((2, 2)), p)
+        before = p.read_bytes()
+        with pytest.raises(ValueError):
+            save_points_csv(np.array([[1.0, 2.0], ["x", 3.0]], dtype=object), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["pts.csv"]
+
 
 class TestImageDatasetInvariants:
     def test_value_range_enforced(self):

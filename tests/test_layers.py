@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from nxnflow.errors import DegenerateChannelError, ShapeError, SingularMatrixError, StateError
-from nxnflow.layers import (ActNorm, Coupling, Inv1x1, Shift, Squeeze, nxn_conv_forward,
-                            nxn_conv_inverse, split_channels, squeeze2x2, unsplit_channels,
-                            unsqueeze2x2)
+from nxnflow.layers import (ChannelAffine, Coupling, Inv1x1, Squeeze, split_channels, squeeze2x2,
+                            unsplit_channels, unsqueeze2x2)
 from nxnflow.model import standard_normal_logp
 from nxnflow.suites import LAYER_KINDS, random_layer
 from nxnflow.tensor import Rng
@@ -14,9 +13,20 @@ from nxnflow.verify import numerical_jacobian
 
 
 def identity_actnorm(channels):
-    layer = ActNorm(channels)
+    layer = ChannelAffine(channels, data_init=True)
     layer.initialized = True
     return layer
+
+
+def nxn_conv_forward(shift, mix, x):
+    """The invertible n x n convolution as a flow step runs it: shift, then mix."""
+    h, ld1, _ = shift.forward(x)
+    y, ld2, _ = mix.forward(h)
+    return y, ld1 + ld2
+
+
+def nxn_conv_inverse(shift, mix, y):
+    return shift.inverse(mix.inverse(y))
 
 
 class TestActNorm:
@@ -30,33 +40,33 @@ class TestActNorm:
     def test_logdet_hand_value(self):
         # C=1, gamma=e, H=W=2 -> logdet = 4
         layer = identity_actnorm(1)
-        layer.log_gamma = np.array([1.0])
+        layer.log_scale = np.array([1.0])
         _, logdet, _ = layer.forward(np.zeros((1, 1, 2, 2)))
         assert logdet[0] == pytest.approx(4.0)
 
     def test_uninitialized_raises(self):
         with pytest.raises(StateError):
-            ActNorm(2).forward(np.zeros((1, 2, 2, 2)))
+            ChannelAffine(2, data_init=True).forward(np.zeros((1, 2, 2, 2)))
 
     def test_init_hand_statistics(self):
-        layer = ActNorm(1)
+        layer = ChannelAffine(1, data_init=True)
         batch = np.array([[1.0], [3.0]])  # mu=2, sigma=1
         layer.init_from_batch(batch)
-        assert np.exp(layer.log_gamma[0]) == pytest.approx(1.0)
-        assert layer.beta[0] == pytest.approx(-2.0)
+        assert np.exp(layer.log_scale[0]) == pytest.approx(1.0)
+        assert layer.bias[0] == pytest.approx(-2.0)
         y, _, _ = layer.forward(batch)
         np.testing.assert_allclose(y, [[-1.0], [1.0]])
 
     def test_init_fixed_point(self):
         rng = Rng(5)
         batch = rng.normal((4096, 3, 2, 2))
-        layer = ActNorm(3)
+        layer = ChannelAffine(3, data_init=True)
         layer.init_from_batch(batch)
-        np.testing.assert_allclose(np.exp(layer.log_gamma), 1.0, atol=0.05)
-        np.testing.assert_allclose(layer.beta, 0.0, atol=0.05)
+        np.testing.assert_allclose(np.exp(layer.log_scale), 1.0, atol=0.05)
+        np.testing.assert_allclose(layer.bias, 0.0, atol=0.05)
 
     def test_constant_channel_degenerate(self):
-        layer = ActNorm(2)
+        layer = ChannelAffine(2, data_init=True)
         batch = Rng(0).normal((8, 2, 2, 2))
         batch[:, 1] = 3.0
         with pytest.raises(DegenerateChannelError):
@@ -71,22 +81,22 @@ class TestActNorm:
 
 class TestShift:
     def test_identity_at_init(self):
-        layer = Shift(3)
+        layer = ChannelAffine(3)
         x = Rng(0).normal((2, 3, 4, 4))
         y, logdet, _ = layer.forward(x)
         np.testing.assert_array_equal(y, x)
         np.testing.assert_array_equal(logdet, 0.0)
 
     def test_log_reciprocal_cancellation(self):
-        layer = Shift(2)
-        layer.log_alpha = np.log(np.array([2.0, 0.5]))
+        layer = ChannelAffine(2)
+        layer.log_scale = np.log(np.array([2.0, 0.5]))
         _, logdet, _ = layer.forward(np.zeros((1, 2, 3, 3)))
         assert logdet[0] == pytest.approx(9.0 * (math.log(2) + math.log(0.5)), abs=1e-12)
 
     def test_hand_forward_and_inverse(self):
-        layer = Shift(1)
-        layer.log_alpha = np.array([math.log(3.0)])
-        layer.beta = np.array([1.0])
+        layer = ChannelAffine(1)
+        layer.log_scale = np.array([math.log(3.0)])
+        layer.bias = np.array([1.0])
         y, _, _ = layer.forward(np.full((1, 1, 2, 2), 2.0))
         assert np.all(y == pytest.approx(7.0))
         np.testing.assert_allclose(layer.inverse(y), 2.0)
@@ -244,11 +254,11 @@ class TestSqueezeSplit:
 
 class TestNxnConv:
     def test_identity_composition(self):
-        shift = Shift(3)
+        shift = ChannelAffine(3)
         mix = Inv1x1(3, Rng(0), mode="direct")
         mix.w = np.eye(3)
         x = Rng(1).normal((2, 3, 4, 4))
-        y, logdet, _ = nxn_conv_forward(shift, mix, x)
+        y, logdet = nxn_conv_forward(shift, mix, x)
         np.testing.assert_allclose(y, x)
         np.testing.assert_array_equal(logdet, 0.0)
 
@@ -256,30 +266,30 @@ class TestNxnConv:
         shift = random_layer("shift", 3, Rng(2))
         mix = random_layer("inv1x1_plu", 3, Rng(3))
         x = Rng(4).normal((2, 3, 4, 4))
-        _, ld_total, _ = nxn_conv_forward(shift, mix, x)
+        _, ld_total = nxn_conv_forward(shift, mix, x)
         _, ld_s, _ = shift.forward(x)
         h, _, _ = shift.forward(x)
         _, ld_m, _ = mix.forward(h)
         np.testing.assert_allclose(ld_total, ld_s + ld_m, atol=1e-12)
 
     def test_matches_fused_affine_map(self):
-        # x -> W (diag(alpha) x + beta) computed directly per pixel
+        # x -> W (diag(scale) x + bias) computed directly per pixel
         shift = random_layer("shift", 3, Rng(5))
         mix = random_layer("inv1x1_plu", 3, Rng(6))
         x = Rng(7).normal((2, 3, 4, 4))
-        y, _, _ = nxn_conv_forward(shift, mix, x)
+        y, _ = nxn_conv_forward(shift, mix, x)
         w = mix.matrix
-        alpha = np.exp(shift.log_alpha)
+        scale = np.exp(shift.log_scale)
         fused = np.einsum("dc,nchw->ndhw",
-                          w, alpha[None, :, None, None] * x
-                          + shift.beta[None, :, None, None])
+                          w, scale[None, :, None, None] * x
+                          + shift.bias[None, :, None, None])
         assert np.max(np.abs(y - fused)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
     def test_inverse(self):
         shift = random_layer("shift", 3, Rng(8))
         mix = random_layer("inv1x1_plu", 3, Rng(9))
         x = Rng(10).normal((2, 3, 4, 4))
-        y, _, _ = nxn_conv_forward(shift, mix, x)
+        y, _ = nxn_conv_forward(shift, mix, x)
         assert np.max(np.abs(nxn_conv_inverse(shift, mix, y) - x)) <= 1e-9
 
 

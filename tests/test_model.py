@@ -103,7 +103,7 @@ class TestLogProb:
         logdet = np.zeros(2)
         parts = []
         for lev, steps in enumerate(model.steps):
-            h = model._enter_level(h)
+            h = squeeze2x2(h)
             for step in steps:
                 for _, layer in step.sublayers():
                     h, ld, _ = layer.forward(h)
@@ -118,13 +118,21 @@ class TestLogProb:
 
     def test_nonfinite_names_layer(self):
         model = random_small_model(Rng(11))
-        model.steps[0][0].shift.log_alpha[:] = 1e6  # exp overflows downstream
+        model.steps[0][0].shift.log_scale[:] = 1e6  # exp overflows downstream
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="level0/step0"):
                 model.log_prob(Rng(12).normal((1, 2, 4, 4)))
 
 
 class TestSampling:
+    def test_nonfinite_inverse_names_layer(self):
+        model = random_small_model(Rng(16))
+        model.steps[0][0].shift.log_scale[:] = -1e6  # 1/exp underflows to a division by 0
+        z = [Rng(17).normal((1,) + s) for s in model.config.z_shapes()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite activation at level0/step0/shift"):
+                model.inverse(z)
+
     def test_determinism(self):
         model = random_small_model(Rng(13))
         a = model.sample(4, 1.0, Rng(99).child("sample"))

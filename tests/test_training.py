@@ -5,7 +5,7 @@ import pytest
 
 from nxnflow.data import gen_2d
 from nxnflow.errors import DataError, NumericError
-from nxnflow.layers import Coupling, Shift
+from nxnflow.layers import Coupling
 from nxnflow.model import ModelConfig, MultiScaleModel
 from nxnflow.suites import random_layer
 from nxnflow.tensor import Rng
@@ -74,13 +74,13 @@ class TestAdam:
 
 class TestLayerBackwardContracts:
     def test_shift_logdet_gradient_exact(self):
-        # loss = logdet only -> grad wrt log_alpha is H*W exactly, beta grad 0
+        # loss = logdet only -> grad wrt log_scale is H*W exactly, bias grad 0
         layer = random_layer("shift", 3, Rng(0))
         x = Rng(1).normal((2, 3, 4, 5))
         _, _, cache = layer.forward(x)
         _, grads = layer.backward(np.zeros_like(x), np.ones(2), cache)
-        np.testing.assert_allclose(grads["log_alpha"], 2 * 20.0)
-        np.testing.assert_array_equal(grads["beta"], 0.0)
+        np.testing.assert_allclose(grads["log_scale"], 2 * 20.0)
+        np.testing.assert_array_equal(grads["bias"], 0.0)
 
     def test_identity_coupling_passthrough_gradient(self):
         layer = Coupling(4, 8, 3, Rng(2))  # zero-initialized conditioner
@@ -131,7 +131,7 @@ class TestTrainLoop:
         model, pts, tc = self.make_2d(steps=50, seed=2)
         train(model, pts, tc)
         for step in model.steps[0]:
-            assert np.all(np.isfinite(step.shift.log_alpha))
+            assert np.all(np.isfinite(step.shift.log_scale))
 
     def test_metrics_csv_shape(self):
         model, pts, tc = self.make_2d(steps=2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nxnflow.layers import Shift
+from nxnflow.layers import ChannelAffine
 from nxnflow.model import ModelConfig, MultiScaleModel
 from nxnflow.suites import random_conv_spec, random_layer
 from nxnflow.tensor import Rng
@@ -15,13 +15,13 @@ from nxnflow.verify import (CheckResult, StandardConvSpec, conv_reformulation_ch
 
 class TestNumericalLogdet:
     def test_shift_cancellation(self):
-        layer = Shift(2)
-        layer.log_alpha = np.log(np.array([2.0, 0.5]))
+        layer = ChannelAffine(2)
+        layer.log_scale = np.log(np.array([2.0, 0.5]))
         x = Rng(0).normal((2, 2, 2))
         assert numerical_logdet(layer, x) == pytest.approx(0.0, abs=1e-6)
 
     def test_identity_layer(self):
-        layer = Shift(2)
+        layer = ChannelAffine(2)
         x = Rng(1).normal((2, 2, 2))
         assert numerical_logdet(layer, x) == pytest.approx(0.0, abs=1e-8)
 
@@ -73,7 +73,7 @@ class TestConvReformulation:
 class TestRoundtripSuite:
     def test_identity_model(self):
         rep = roundtrip_suite(
-            lambda r: Shift(3),
+            lambda r: ChannelAffine(3),
             lambda r: r.normal((2, 3, 4, 4)),
             10, Rng(0))
         assert rep.max_reconstruction <= 1e-12
@@ -112,13 +112,13 @@ class TestQuadrature:
 
 class TestFaultInjection:
     def test_wrong_logdet_sign_detected(self):
-        class BrokenShift(Shift):
+        class BrokenShift(ChannelAffine):
             def forward(self, x):
                 y, logdet, cache = super().forward(x)
                 return y, -logdet, cache
 
         layer = BrokenShift(3)
-        layer.log_alpha = 0.5 * Rng(6).normal((3,))
+        layer.log_scale = 0.5 * Rng(6).normal((3,))
         x = Rng(7).normal((3, 2, 2))
         analytic = float(layer.forward(x[None])[1][0])
         numeric = numerical_logdet(layer, x)
