@@ -69,6 +69,32 @@ def _run_config_from_args(args) -> RunConfig:
     return run
 
 
+def _resume_state(loaded: ckpt_io.Checkpoint):
+    """(step, optimizer state, RNG streams) that continue the checkpointed run."""
+    if loaded.adam_t is None:
+        raise ConfigError("checkpoint has no optimizer state; cannot resume")
+    try:
+        states = json.loads(loaded.rng_state)
+        rngs = {k: Rng.from_state_json(states[k]) for k in ("dequantize", "batches")}
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"checkpoint rng state is not a training stream state: {e!r}") from None
+    return loaded.step, {"t": loaded.adam_t, "m": loaded.adam_m, "v": loaded.adam_v}, rngs
+
+
+def _metrics_rows(path: str, resume_step: int | None) -> list:
+    """The metrics.csv lines to keep: the header, plus on resume the logged
+    rows up to the checkpoint step (rows after it are about to be redone)."""
+    kept = [METRICS_HEADER]
+    if resume_step is not None and os.path.exists(path):
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for row in f.read().splitlines()[1:]:
+                step = row.split(",", 1)[0]
+                if not step.isdigit() or int(step) > resume_step:
+                    break
+                kept.append(row)
+    return kept
+
+
 def cmd_train(args) -> int:
     run = _run_config_from_args(args)
     model_cfg = run.model_config()
@@ -83,11 +109,7 @@ def cmd_train(args) -> int:
     if args.resume:
         loaded = ckpt_io.load(args.resume)
         ckpt_io.restore_model(loaded, model)
-        if loaded.adam_t is None:
-            raise ConfigError("checkpoint has no optimizer state; cannot resume")
-        resume = (loaded.step,
-                  {"t": loaded.adam_t, "m": loaded.adam_m, "v": loaded.adam_v},
-                  json.loads(loaded.rng_state))
+        resume = _resume_state(loaded)
 
     def on_checkpoint(step, opt, rng_states):
         snapshot = ckpt_io.Checkpoint(
@@ -101,13 +123,12 @@ def cmd_train(args) -> int:
         )
         ckpt_io.save(snapshot, ckpt_path)
 
-    new_log = resume is None or not os.path.exists(metrics_path)
-    with open(metrics_path, "a" if not new_log else "w", encoding="utf-8") as f:
-        if new_log:
-            f.write(METRICS_HEADER + "\n")
-
+    kept = _metrics_rows(metrics_path, None if resume is None else resume[0])
+    ckpt_io.write_atomic(metrics_path, "".join(r + "\n" for r in kept).encode())
+    with open(metrics_path, "a", encoding="utf-8") as f:
         def log(row):
             f.write(row.csv() + "\n")
+            f.flush()
 
         train(model, data, train_cfg, on_checkpoint=on_checkpoint, log=log,
               resume=resume)

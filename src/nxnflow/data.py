@@ -129,7 +129,7 @@ def import_ppm(path, bits: int = 8) -> ImageDataset:
     """One-way import of a single P6 PPM (maxval 255) image."""
     with open(path, "rb") as f:
         raw = f.read()
-    fields = []
+    fields = []  # (offset, token)
     pos = 0
     while len(fields) < 4:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
@@ -138,17 +138,22 @@ def import_ppm(path, bits: int = 8) -> ImageDataset:
             while pos < len(raw) and raw[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(raw):
+            raise FormatError("truncated PPM header", offset=pos)
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P6":
-        raise FormatError(f"not a P6 PPM: {fields[0]!r}", offset=0)
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        fields.append((start, raw[start:pos]))
+    if fields[0][1] != b"P6":
+        raise FormatError(f"not a P6 PPM: {fields[0][1]!r}", offset=0)
+    for start, token in fields[1:]:
+        if not token.isdigit():
+            raise FormatError(f"PPM header field {token!r} is not a number", offset=start)
+    w, h, maxval = (int(token) for _, token in fields[1:])
     if maxval != 255:
-        raise FormatError(f"only maxval 255 supported, got {maxval}")
+        raise FormatError(f"only maxval 255 supported, got {maxval}", offset=fields[3][0])
     pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    pixels = np.frombuffer(raw[pos:], dtype=np.uint8)
     if pixels.size != 3 * w * h:
         raise FormatError(f"payload length {pixels.size} != {3 * w * h}", offset=pos)
     img = pixels.reshape(h, w, 3).transpose(2, 0, 1)[None]

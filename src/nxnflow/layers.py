@@ -7,8 +7,9 @@ Every layer follows one contract:
     backward(dy, dlogdet, cache) -> (dx, grads)
 
 where ``dlogdet`` is dL/dlogdet per sample and ``grads`` mirrors the keys
-of ``params()``. Inputs are rank-4 NCHW arrays or rank-2 N x D arrays
-(the toy-2D mode, where the spatial factor H*W is 1).
+of ``params()``. Inputs are rank-4 NCHW arrays; the model runs rank-2
+points as N x D x 1 x 1, so no layer knows a second layout. A rank-2 array
+passed straight to a layer is a ShapeError.
 
 The invertible n x n convolution is a ChannelAffine shift followed by an
 Inv1x1 mix. Per-channel scales are stored as logs, so they stay strictly
@@ -20,25 +21,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateChannelError, ShapeError, SingularMatrixError, StateError
-from .tensor import (Rng, channel_affine, channel_matmul, lu_factor, lu_slogdet, num_channels,
-                     spatial_size)
-
-
-def _per_channel(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Broadcast a length-C vector against x's channel axis."""
-    if x.ndim == 4:
-        return v[None, :, None, None]
-    return v[None, :]
-
-
-def _sum_per_channel(g: np.ndarray) -> np.ndarray:
-    """Reduce a gradient over batch and spatial axes, keeping channels."""
-    if g.ndim == 4:
-        return g.sum(axis=(0, 2, 3))
-    return g.sum(axis=0)
+from .tensor import Rng, channel_affine, channel_matmul, channel_outer, lu_factor, nchw
 
 
 class ChannelAffine:
@@ -65,9 +51,9 @@ class ChannelAffine:
             raise StateError("channel affine layer already initialized")
         if batch.shape[0] < 2:
             raise StateError("data-dependent init needs at least 2 samples")
-        axes = (0, 2, 3) if batch.ndim == 4 else (0,)
-        mu = batch.mean(axis=axes)
-        sigma = batch.std(axis=axes)
+        nchw(batch)
+        mu = batch.mean(axis=(0, 2, 3))
+        sigma = batch.std(axis=(0, 2, 3))
         if np.any(sigma < 1e-6):
             bad = int(np.argmin(sigma))
             raise DegenerateChannelError(
@@ -80,10 +66,9 @@ class ChannelAffine:
     def forward(self, x):
         if not self.initialized:
             raise StateError("channel affine layer used before init_from_batch")
-        scale = np.exp(self.log_scale)
-        y = channel_affine(x, scale, self.bias)
-        logdet = np.full(x.shape[0], spatial_size(x) * self.log_scale.sum())
-        return y, logdet, {"x": x}
+        n, _, h, w = nchw(x)
+        y = channel_affine(x, np.exp(self.log_scale), self.bias)
+        return y, np.full(n, h * w * self.log_scale.sum()), {"x": x}
 
     def inverse(self, y):
         if not self.initialized:
@@ -94,9 +79,10 @@ class ChannelAffine:
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
         scale = np.exp(self.log_scale)
-        dx = dy * _per_channel(scale, dy)
-        g_bias = _sum_per_channel(dy)
-        g_log_scale = _sum_per_channel(dy * x) * scale + spatial_size(x) * dlogdet.sum()
+        dx = dy * scale[None, :, None, None]
+        g_bias = dy.sum(axis=(0, 2, 3))
+        hw = x.shape[2] * x.shape[3]
+        g_log_scale = (dy * x).sum(axis=(0, 2, 3)) * scale + hw * dlogdet.sum()
         return dx, {"log_scale": g_log_scale, "bias": g_bias}
 
 
@@ -106,7 +92,7 @@ class Inv1x1:
     PLU mode stores W = P @ L @ U with P a fixed permutation, L unit lower
     triangular and U upper triangular with diag(U) = sign * exp(log_u_diag);
     invertibility is structural and the log-det is O(C). DirectW mode keeps
-    the raw matrix and pays an LU factorization per log-det.
+    the raw matrix and pays a LAPACK slogdet per log-det.
     """
 
     def __init__(self, channels: int, rng: Rng, mode: str = "plu"):
@@ -153,45 +139,31 @@ class Inv1x1:
 
     def _logdet_scalar(self) -> float:
         if self.mode == "direct":
-            sign, logabs = lu_slogdet(self.w)
+            sign, logabs = np.linalg.slogdet(self.w)
             if sign == 0:
                 raise SingularMatrixError("1x1 convolution matrix is singular")
-            return logabs
+            return float(logabs)
         return float(self.log_u_diag.sum())
 
     def forward(self, x):
-        w = self.matrix
-        logdet = np.full(x.shape[0], spatial_size(x) * self._logdet_scalar())
-        return channel_matmul(w, x), logdet, {"x": x}
+        n, _, h, w = nchw(x)
+        logdet = np.full(n, h * w * self._logdet_scalar())
+        return channel_matmul(self.matrix, x), logdet, {"x": x}
 
     def inverse(self, y):
-        n = y.shape[0]
-        if y.ndim == 4:
-            fibers = y.transpose(1, 0, 2, 3).reshape(self.channels, -1)
-        else:
-            fibers = y.T
+        # The C x C inverse, then the forward's channel product. A triangular
+        # solve over all N*H*W fibers runs OpenBLAS's multi-threaded trsm even
+        # for a 2 x 2 matrix, and its woken worker keeps spinning on another
+        # CPU after the call returns.
         if self.mode == "direct":
-            sign, _ = lu_slogdet(self.w)
-            if sign == 0:
-                raise SingularMatrixError("1x1 convolution matrix is singular")
-            solved = np.linalg.solve(self.w, fibers)
-        else:
-            lower, upper = self._triangles()
-            tmp = solve_triangular(lower, self.p.T @ fibers, lower=True, unit_diagonal=True)
-            solved = solve_triangular(upper, tmp, lower=False)
-        if y.ndim == 4:
-            return solved.reshape(self.channels, n, y.shape[2], y.shape[3]).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(solved.T)
+            self._logdet_scalar()  # raises on a singular matrix
+        return channel_matmul(np.linalg.inv(self.matrix), y)
 
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
-        hw = spatial_size(x)
-        if x.ndim == 4:
-            gw = np.einsum("ndhw,nchw->dc", dy, x, optimize=True)
-        else:
-            gw = dy.T @ x
+        gw = channel_outer(dy, x)
         dx = channel_matmul(self.matrix.T, dy)
-        ld = hw * dlogdet.sum()
+        ld = x.shape[2] * x.shape[3] * dlogdet.sum()
         if self.mode == "direct":
             return dx, {"w": gw + ld * np.linalg.inv(self.w).T}
         lower, upper = self._triangles()
@@ -205,8 +177,28 @@ class Inv1x1:
         }
 
 
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """N x C x H x W -> N x C*k*k x H x W: the zero-padded k x k neighbourhood
+    of every pixel, ordered (channel, row tap, column tap) like the rows of a
+    C_out x C_in x k x k kernel reshaped to C_out x C_in*k*k. For k = 1 this
+    is x itself."""
+    if k == 1:
+        return x
+    n, c, h, w = nchw(x)
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    # windows of the padded image's full H x W extent, one per kernel tap
+    return sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(n, c * k * k, h, w)
+
+
 class Conv2d:
-    """Plain 3x3 / 1x1 convolution with zero padding, manual adjoint."""
+    """Plain 3x3 / 1x1 convolution with zero padding, manual adjoint.
+
+    Forward is one channel product of the kernel with the input patches.
+    The stride-1 same-padding adjoint is the same convolution of dy with the
+    flipped, channel-transposed kernel. The cache holds only the input, and
+    backward rebuilds its patches.
+    """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: Rng | None,
                  zero_init: bool = False):
@@ -219,31 +211,16 @@ class Conv2d:
         self.b = np.zeros(c_out)
 
     def forward(self, x):
-        n, _, h, w = x.shape
-        pad = self.kernel // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-        y = np.zeros((n, self.w.shape[0], h, w))
-        for di in range(self.kernel):
-            for dj in range(self.kernel):
-                y += np.einsum("dc,nchw->ndhw", self.w[:, :, di, dj],
-                               xp[:, :, di:di + h, dj:dj + w], optimize=True)
+        y = channel_matmul(self.w.reshape(self.w.shape[0], -1), _patches(x, self.kernel))
         y += self.b[None, :, None, None]
-        return y, {"xp": xp, "hw": (h, w)}
+        return y, {"x": x}
 
     def backward(self, dy, cache):
-        xp, (h, w) = cache["xp"], cache["hw"]
-        pad = self.kernel // 2
-        gw = np.empty_like(self.w)
-        dxp = np.zeros_like(xp)
-        for di in range(self.kernel):
-            for dj in range(self.kernel):
-                gw[:, :, di, dj] = np.einsum("ndhw,nchw->dc", dy,
-                                             xp[:, :, di:di + h, dj:dj + w], optimize=True)
-                dxp[:, :, di:di + h, dj:dj + w] += np.einsum(
-                    "dc,ndhw->nchw", self.w[:, :, di, dj], dy, optimize=True)
-        gb = dy.sum(axis=(0, 2, 3))
-        dx = dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp
-        return dx, gw, gb
+        k = self.kernel
+        gw = channel_outer(dy, _patches(cache["x"], k)).reshape(self.w.shape)
+        w_adj = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = channel_matmul(w_adj.reshape(w_adj.shape[0], -1), _patches(dy, k))
+        return dx, gw, dy.sum(axis=(0, 2, 3))
 
 
 class ConditionerNet:
@@ -273,12 +250,10 @@ class ConditionerNet:
         h = x
         for i, layer in enumerate(self.layers):
             h, c = layer.forward(h)
-            if i < len(self.layers) - 1:
-                mask = h > 0
+            mask = h > 0 if i < len(self.layers) - 1 else None  # relu after all but the last
+            if mask is not None:
                 h = h * mask
-                caches.append((c, mask))
-            else:
-                caches.append((c, None))
+            caches.append((c, mask))
         return h, caches
 
     def backward(self, dout, caches):
@@ -313,11 +288,6 @@ class Coupling:
     def params(self):
         return {f"net/{k}": v for k, v in self.net.params().items()}
 
-    def _as4d(self, x):
-        if x.ndim == 2:
-            return x[:, :, None, None], True
-        return x, False
-
     def _conditioner(self, x_b):
         raw, caches = self.net.forward(x_b)
         raw_s, t = raw[:, :self.c_a], raw[:, self.c_a:]
@@ -326,36 +296,28 @@ class Coupling:
         return s, t, th, caches
 
     def forward(self, x):
-        x4, squeezed = self._as4d(x)
-        x_a, x_b = x4[:, :self.c_a], x4[:, self.c_a:]
+        nchw(x)
+        x_a, x_b = x[:, :self.c_a], x[:, self.c_a:]
         s, t, th, caches = self._conditioner(x_b)
-        y_a = x_a * s + t
-        y = np.concatenate([y_a, x_b], axis=1)
-        logdet = th.sum(axis=(1, 2, 3))
-        if squeezed:
-            y = y[:, :, 0, 0]
-        cache = {"x_a": x_a, "s": s, "th": th, "net": caches, "squeezed": squeezed}
-        return y, logdet, cache
+        y = np.concatenate([x_a * s + t, x_b], axis=1)
+        cache = {"x_a": x_a, "s": s, "th": th, "net": caches}
+        return y, th.sum(axis=(1, 2, 3)), cache
 
     def inverse(self, y):
-        y4, squeezed = self._as4d(y)
-        y_a, y_b = y4[:, :self.c_a], y4[:, self.c_a:]
+        nchw(y)
+        y_a, y_b = y[:, :self.c_a], y[:, self.c_a:]
         s, t, _, _ = self._conditioner(y_b)
-        x = np.concatenate([(y_a - t) / s, y_b], axis=1)
-        return x[:, :, 0, 0] if squeezed else x
+        return np.concatenate([(y_a - t) / s, y_b], axis=1)
 
     def backward(self, dy, dlogdet, cache):
-        dy4, _ = self._as4d(dy)
         x_a, s, th = cache["x_a"], cache["s"], cache["th"]
-        dy_a, dy_b = dy4[:, :self.c_a], dy4[:, self.c_a:]
+        dy_a, dy_b = dy[:, :self.c_a], dy[:, self.c_a:]
         dx_a = dy_a * s
         dth = dy_a * x_a * s + dlogdet[:, None, None, None]
         draw_s = dth * (1.0 - th * th)
         draw = np.concatenate([draw_s, dy_a], axis=1)
         dx_b_net, net_grads = self.net.backward(draw, cache["net"])
         dx = np.concatenate([dx_a, dy_b + dx_b_net], axis=1)
-        if cache["squeezed"]:
-            dx = dx[:, :, 0, 0]
         return dx, {f"net/{k}": v for k, v in net_grads.items()}
 
 
@@ -398,7 +360,7 @@ def unsqueeze2x2(y: np.ndarray) -> np.ndarray:
 
 def split_channels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First half of channels continues, second half is factored out."""
-    c = num_channels(x)
+    c = nchw(x)[1]
     if c % 2:
         raise ShapeError(f"split needs an even channel count, got {c}")
     half = c // 2

@@ -7,6 +7,8 @@ whole flow is one ordered list of named layers with split markers between
 levels, and every pass over the model is one loop over that list. Exact
 log-likelihood is the standard-normal prior term on all latent parts plus
 the accumulated log-determinant.
+Layers see only NCHW tensors; this module alone knows the rank-2 layout:
+N x D points run through the flow as N x D x 1 x 1.
 """
 
 from __future__ import annotations
@@ -215,11 +217,19 @@ class MultiScaleModel:
         expect = self.config.input_shape()
         if x.shape[1:] != expect:
             raise ShapeError(f"input shape {x.shape[1:]} does not match config {expect}")
-        return x
+        return self._to_flow(x)
+
+    def _to_flow(self, x: np.ndarray) -> np.ndarray:
+        """A public-layout array as the NCHW tensor the flow runs on."""
+        return x[:, :, None, None] if self.config.mode == "rank2" else x
+
+    def _from_flow(self, h: np.ndarray) -> np.ndarray:
+        """An NCHW flow tensor in the public layout (N x D in rank-2 mode)."""
+        return h[:, :, 0, 0] if self.config.mode == "rank2" else h
 
     def forward_with_tape(self, x: np.ndarray):
-        """Returns (FlowOutput, tape); the tape holds one cache per flow entry
-        and drives the exact backward pass."""
+        """Returns (FlowOutput, tape) with NCHW latent parts; the tape holds
+        one cache per flow entry and drives the exact backward pass."""
         h = self._check_input(x)
         logdet = np.zeros(h.shape[0])
         z_parts = []
@@ -239,17 +249,20 @@ class MultiScaleModel:
         return FlowOutput(z_parts=z_parts, logdet=logdet), tape
 
     def forward(self, x: np.ndarray) -> FlowOutput:
+        """Latent parts in the shapes of ``config.z_shapes()``."""
         out, _ = self.forward_with_tape(x)
+        out.z_parts = [self._from_flow(z) for z in out.z_parts]
         return out
 
     def inverse(self, z_parts: list) -> np.ndarray:
+        """Latent parts in the shapes of ``config.z_shapes()`` -> (N,) + input shape."""
         shapes = self.config.z_shapes()
         if len(z_parts) != len(shapes):
             raise ShapeError(f"expected {len(shapes)} latent parts, got {len(z_parts)}")
         for z, s in zip(z_parts, shapes):
             if tuple(z.shape[1:]) != tuple(s):
                 raise ShapeError(f"latent part shape {z.shape[1:]} != expected {s}")
-        parts = [np.asarray(z, dtype=np.float64) for z in z_parts]
+        parts = [self._to_flow(np.asarray(z, dtype=np.float64)) for z in z_parts]
         h = parts.pop()
         for name, layer in reversed(self.flow):
             if layer is None:
@@ -258,7 +271,7 @@ class MultiScaleModel:
             h = layer.inverse(h)
             if not np.all(np.isfinite(h)):
                 raise NumericError(f"non-finite activation at {name}")
-        return h
+        return self._from_flow(h)
 
     # -- likelihood ---------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Minimal dense tensor kernels in float64.
 
-Tensors are plain ``numpy.ndarray`` values in a fixed contiguous layout:
-rank 4 is batch-major NCHW (batch, channel, row, column); rank 2 toy data
-is N x D with D playing the channel role. All math is done in 64-bit
-floats so the finite-difference oracles have headroom.
+Tensors are plain ``numpy.ndarray`` values in one layout: rank-4
+batch-major NCHW (batch, channel, row, column). Every channel product is a
+batched matrix product over the H*W pixels of each sample. All math is done
+in 64-bit floats so the finite-difference oracles have headroom.
 """
 
 from __future__ import annotations
@@ -19,45 +19,42 @@ from .errors import ShapeError
 PIVOT_TOL = 1e-12
 
 
-def spatial_size(x: np.ndarray) -> int:
-    """H*W for rank-4 input, 1 for rank-2 (N x D) input."""
-    if x.ndim == 4:
-        return x.shape[2] * x.shape[3]
-    if x.ndim == 2:
-        return 1
-    raise ShapeError(f"expected rank 2 or 4 tensor, got rank {x.ndim}")
-
-
-def num_channels(x: np.ndarray) -> int:
-    if x.ndim not in (2, 4):
-        raise ShapeError(f"expected rank 2 or 4 tensor, got rank {x.ndim}")
-    return x.shape[1]
+def nchw(x: np.ndarray) -> tuple[int, int, int, int]:
+    """The (N, C, H, W) extents of x; ShapeError unless x is rank 4."""
+    if x.ndim != 4:
+        raise ShapeError(f"expected a rank-4 NCHW tensor, got rank {x.ndim}")
+    return x.shape
 
 
 def channel_affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """out[n,c,i,j] = scale[c] * x[n,c,i,j] + bias[c]."""
     scale = np.asarray(scale, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    c = num_channels(x)
+    c = nchw(x)[1]
     if scale.shape != (c,) or bias.shape != (c,):
         raise ShapeError(
             f"scale/bias must have length {c}, got {scale.shape} and {bias.shape}"
         )
-    if x.ndim == 4:
-        return scale[None, :, None, None] * x + bias[None, :, None, None]
-    return scale[None, :] * x + bias[None, :]
+    return scale[None, :, None, None] * x + bias[None, :, None, None]
 
 
 def channel_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the C_out x C_in matrix w to the channel fiber at every pixel."""
     w = np.asarray(w, dtype=np.float64)
+    n, c, h, wd = nchw(x)
     if w.ndim != 2:
         raise ShapeError(f"w must be a matrix, got rank {w.ndim}")
-    if w.shape[1] != num_channels(x):
-        raise ShapeError(f"w has {w.shape[1]} columns but x has {num_channels(x)} channels")
-    if x.ndim == 4:
-        return np.einsum("dc,nchw->ndhw", w, x, optimize=True)
-    return x @ w.T
+    if w.shape[1] != c:
+        raise ShapeError(f"w has {w.shape[1]} columns but x has {c} channels")
+    return (w @ x.reshape(n, c, h * wd)).reshape(n, w.shape[0], h, wd)
+
+
+def channel_outer(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum over batch and pixels of dy[n,:,i,j] x[n,:,i,j]^T, a D x C matrix:
+    the gradient of channel_matmul(w, x) with respect to w."""
+    if nchw(dy)[0] != nchw(x)[0] or dy.shape[2:] != x.shape[2:]:
+        raise ShapeError(f"batch and pixel extents differ: {dy.shape} and {x.shape}")
+    return np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3]))
 
 
 def lu_factor(a: np.ndarray):
@@ -143,9 +140,6 @@ class Rng:
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
     def state_json(self) -> str:
         st = self._gen.bit_generator.state

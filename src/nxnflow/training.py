@@ -97,8 +97,9 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     `data` is integer-valued NCHW for image mode (dequantized per batch) or
     float N x D for rank-2 mode. `on_checkpoint(step, opt, rng_states)` is
     called on the configured cadence and after the final step. `resume` is
-    an optional (step, adam, rng_states) tuple produced by a checkpoint:
-    actnorm init is skipped and step numbering continues.
+    an optional (step, adam, rngs) tuple restored from a checkpoint, where
+    rngs maps "dequantize" and "batches" to their Rng streams: actnorm init
+    is skipped and step numbering continues.
     """
     image_mode = model.config.mode == "image"
     n = data.shape[0]
@@ -112,9 +113,8 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
         batch_rng = rng.child("batches")
         start_step = 0
     else:
-        start_step, adam_state, rng_states = resume
-        deq_rng = Rng.from_state_json(rng_states["dequantize"])
-        batch_rng = Rng.from_state_json(rng_states["batches"])
+        start_step, adam_state, rngs = resume
+        deq_rng, batch_rng = rngs["dequantize"], rngs["batches"]
 
     def get_batch():
         idx = batch_rng.integers(0, n, (cfg.batch_size,))

@@ -184,6 +184,34 @@ class TestTrainCommand:
         steps = [int(r.split(",")[0]) for r in rows]
         assert steps == list(range(1, 11))
 
+    def test_resume_truncates_metrics_to_checkpoint_step(self, tmp_path):
+        # steps 1-3 are logged, then the run resumes from its step-2 checkpoint
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        out = tmp_path / "run"
+        ck2 = tmp_path / "step2.nxnf"
+        assert main(["train", "--config", cfg, "--set", "train.steps=2", "--out", str(out)]) == 0
+        ck2.write_bytes((out / "checkpoint.nxnf").read_bytes())
+        for ck, steps in ((out / "checkpoint.nxnf", 1), (ck2, 2)):
+            assert main(["train", "--config", cfg, "--set", f"train.steps={steps}",
+                         "--out", str(out), "--resume", str(ck)]) == 0
+        rows = (out / "metrics.csv").read_text().strip().splitlines()
+        assert rows[0] == "step,nll_nats,bpd,grad_norm,seconds"
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("rng_state", ["not json", '{"dequantize": "{}", "batches": "{}"}'])
+    def test_resume_malformed_rng_state_exit_code(self, tmp_path, capsys, rng_state):
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", "train.steps=1", "--out", str(out)]) == 0
+        ck = ckpt_io.load(out / "checkpoint.nxnf")
+        ck.rng_state = rng_state
+        bad = tmp_path / "bad.nxnf"
+        ckpt_io.save(ck, bad)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(bad)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "rng state" in err[0]
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, RANK2_CFG + "model.bogus = 1\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

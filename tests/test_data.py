@@ -161,6 +161,14 @@ class TestPpm:
         raw = p.read_bytes()
         assert raw.startswith(b"P6\n16 16\n255\n")
 
+    @pytest.mark.parametrize("raw, offset", [(b"P6\n4", 4), (b"P6\n4 x\n255\n", 5)])
+    def test_malformed_header_names_offset(self, tmp_path, raw, offset):
+        p = tmp_path / "x.ppm"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError) as e:
+            import_ppm(p)
+        assert e.value.offset == offset
+
     def test_reject_non_p6(self, tmp_path):
         p = tmp_path / "x.ppm"
         p.write_bytes(b"P3\n1 1\n255\n0 0 0\n")

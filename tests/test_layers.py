@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from nxnflow.errors import DegenerateChannelError, ShapeError, SingularMatrixError, StateError
-from nxnflow.layers import (ChannelAffine, Coupling, Inv1x1, Squeeze, split_channels, squeeze2x2,
-                            unsplit_channels, unsqueeze2x2)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nxnflow.layers import (ChannelAffine, Conv2d, Coupling, Inv1x1, Squeeze, split_channels,
+                            squeeze2x2, unsplit_channels, unsqueeze2x2)
 from nxnflow.model import standard_normal_logp
 from nxnflow.suites import LAYER_KINDS, random_layer
 from nxnflow.tensor import Rng
-from nxnflow.verify import numerical_jacobian
+from nxnflow.verify import StandardConvSpec, direct_convolution, numerical_jacobian
 
 
 def identity_actnorm(channels):
@@ -50,12 +53,12 @@ class TestActNorm:
 
     def test_init_hand_statistics(self):
         layer = ChannelAffine(1, data_init=True)
-        batch = np.array([[1.0], [3.0]])  # mu=2, sigma=1
+        batch = np.array([[1.0], [3.0]])[:, :, None, None]  # mu=2, sigma=1
         layer.init_from_batch(batch)
         assert np.exp(layer.log_scale[0]) == pytest.approx(1.0)
         assert layer.bias[0] == pytest.approx(-2.0)
         y, _, _ = layer.forward(batch)
-        np.testing.assert_allclose(y, [[-1.0], [1.0]])
+        np.testing.assert_allclose(y[:, :, 0, 0], [[-1.0], [1.0]])
 
     def test_init_fixed_point(self):
         rng = Rng(5)
@@ -195,8 +198,9 @@ class TestCoupling:
         assert np.max(np.abs(layer.inverse(y) - x)) <= 1e-9
 
     def test_rank2(self):
+        # rank-2 points run as N x D x 1 x 1
         layer = random_layer("coupling", 2, Rng(4), kernel=1)
-        x = Rng(5).normal((6, 2))
+        x = Rng(5).normal((6, 2, 1, 1))
         y, logdet, _ = layer.forward(x)
         assert y.shape == x.shape
         np.testing.assert_array_equal(y[:, 1], x[:, 1])
@@ -212,6 +216,60 @@ class TestCoupling:
         _, _, cache = layer.forward(x)
         assert np.all(cache["s"] >= math.exp(-1.0))
         assert np.all(cache["s"] <= math.exp(1.0))
+
+
+class TestRank2ArraysRejected:
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_forward_and_inverse(self, kind):
+        layer = random_layer(kind, 2, Rng(0), kernel=1)
+        x = Rng(1).normal((3, 2))
+        with pytest.raises(ShapeError):
+            layer.forward(x)
+        with pytest.raises(ShapeError):
+            layer.inverse(x)
+
+    def test_data_init(self):
+        with pytest.raises(ShapeError):
+            ChannelAffine(2, data_init=True).init_from_batch(Rng(2).normal((8, 2)))
+
+
+def conv_spec(conv):
+    """A Conv2d's kernel as the brute-force oracle's taps and offsets."""
+    k = conv.kernel
+    taps = [(a, b) for a in range(k) for b in range(k)]
+    return StandardConvSpec(taps=np.stack([conv.w[:, :, a, b] for a, b in taps]),
+                            offsets=[(a - k // 2, b - k // 2) for a, b in taps])
+
+
+class TestConv2d:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_forward_matches_direct_convolution(self, seed, kernel):
+        rng = Rng(seed)
+        n, c, d, h, w = (int(v) for v in rng.integers(1, 5, (5,)))
+        conv = Conv2d(c, d, kernel, rng.child("w"))
+        conv.b = rng.normal((d,))
+        x = rng.normal((n, c, h, w))
+        y, _ = conv.forward(x)
+        spec = conv_spec(conv)
+        for i in range(n):
+            ref = direct_convolution(spec, x[i]) + conv.b[:, None, None]
+            np.testing.assert_allclose(y[i], ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_backward_is_the_adjoint(self, kernel):
+        # y - b is linear in x and in w: <y - b, dy> = <x, dx> = <w, gw>
+        rng = Rng(kernel)
+        conv = Conv2d(3, 4, kernel, rng.child("w"))
+        conv.b = rng.normal((4,))
+        x = rng.normal((2, 3, 5, 4))
+        dy = rng.normal((2, 4, 5, 4))
+        y, cache = conv.forward(x)
+        dx, gw, gb = conv.backward(dy, cache)
+        inner = float(((y - conv.b[None, :, None, None]) * dy).sum())
+        assert float((x * dx).sum()) == pytest.approx(inner, rel=1e-12)
+        assert float((conv.w * gw).sum()) == pytest.approx(inner, rel=1e-12)
+        np.testing.assert_allclose(gb, dy.sum(axis=(0, 2, 3)))
 
 
 class TestSqueezeSplit:

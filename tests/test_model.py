@@ -87,6 +87,37 @@ class TestForwardInverse:
             model.inverse([np.zeros((1, 5, 1, 1))])
 
 
+class TestRank2PublicShapes:
+    """Rank-2 points run through the flow as N x D x 1 x 1; every public
+    entry point still takes and returns N x D arrays."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_shapes(self, n):
+        cfg = ModelConfig(mode="rank2", dim=4, depth_k=2, levels=2, hidden_width=4)
+        model = identity_init_model(cfg)
+        x = Rng(1).normal((n, 4))
+        out = model.forward(x)
+        assert [z.shape for z in out.z_parts] == [(n, 2), (n, 2)]
+        assert out.logdet.shape == (n,)
+        assert model.inverse(out.z_parts).shape == (n, 4)
+        assert model.log_prob(x).shape == (n,)
+        assert model.sample(n, 1.0, Rng(2)).shape == (n, 4)
+
+    def test_roundtrip(self):
+        model = random_small_model(Rng(17), mode="rank2")
+        x = Rng(18).normal((6, 2))
+        out = model.forward(x)
+        assert np.max(np.abs(model.inverse(out.z_parts) - x)) <= 1e-9
+
+    def test_flow_latent_shape_rejected(self):
+        cfg = ModelConfig(mode="rank2", dim=2, depth_k=1, levels=1, hidden_width=4)
+        model = identity_init_model(cfg)
+        with pytest.raises(ShapeError):
+            model.inverse([np.zeros((1, 2, 1, 1))])
+        with pytest.raises(ShapeError):
+            model.forward(np.zeros((1, 2, 1, 1)))
+
+
 class TestLogProb:
     def test_prior_only_value(self):
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=0, levels=1)

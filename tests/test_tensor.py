@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nxnflow.errors import ShapeError
-from nxnflow.tensor import Rng, channel_affine, channel_matmul, lu_slogdet
+from nxnflow.tensor import Rng, channel_affine, channel_matmul, channel_outer, lu_slogdet
 
 
 def brute_force_det(a):
@@ -40,9 +40,14 @@ class TestChannelAffine:
         np.testing.assert_array_equal(twice, x)
 
     def test_rank2(self):
-        x = np.array([[1.0, 2.0]])
+        # rank-2 points run as N x D x 1 x 1
+        x = np.array([[1.0, 2.0]])[:, :, None, None]
         out = channel_affine(x, np.array([2.0, 3.0]), np.array([0.5, -1.0]))
-        np.testing.assert_allclose(out, [[2.5, 5.0]])
+        np.testing.assert_allclose(out[:, :, 0, 0], [[2.5, 5.0]])
+
+    def test_rank2_array_rejected(self):
+        with pytest.raises(ShapeError):
+            channel_affine(np.zeros((1, 2)), np.ones(2), np.zeros(2))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -80,6 +85,17 @@ class TestChannelMatmul:
         with pytest.raises(ShapeError):
             channel_matmul(np.eye(2), np.zeros((1, 3, 2, 2)))
 
+    def test_rank2_array_rejected(self):
+        with pytest.raises(ShapeError):
+            channel_matmul(np.eye(2), np.zeros((1, 2)))
+
+    def test_matches_einsum(self):
+        rng = Rng(3)
+        w = rng.normal((4, 3))
+        x = rng.normal((2, 3, 2, 5))
+        ref = np.einsum("dc,nchw->ndhw", w, x)
+        np.testing.assert_allclose(channel_matmul(w, x), ref, rtol=0, atol=1e-12)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_composition(self, seed):
@@ -90,6 +106,30 @@ class TestChannelMatmul:
         lhs = channel_matmul(a, channel_matmul(b, x))
         rhs = channel_matmul(a @ b, x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+class TestChannelOuter:
+    def test_matches_einsum(self):
+        rng = Rng(4)
+        dy = rng.normal((3, 4, 2, 5))
+        x = rng.normal((3, 2, 2, 5))
+        ref = np.einsum("ndhw,nchw->dc", dy, x)
+        np.testing.assert_allclose(channel_outer(dy, x), ref, rtol=0, atol=1e-12)
+
+    def test_is_the_weight_gradient_of_channel_matmul(self):
+        # <channel_matmul(w, x), dy> is linear in w with gradient channel_outer(dy, x)
+        rng = Rng(5)
+        w = rng.normal((4, 2))
+        x = rng.normal((2, 2, 3, 3))
+        dy = rng.normal((2, 4, 3, 3))
+        lhs = float((channel_matmul(w, x) * dy).sum())
+        assert lhs == pytest.approx(float((w * channel_outer(dy, x)).sum()), rel=1e-12)
+
+    def test_extent_mismatch(self):
+        with pytest.raises(ShapeError):
+            channel_outer(np.zeros((2, 3, 2, 2)), np.zeros((2, 3, 2, 3)))
+        with pytest.raises(ShapeError):
+            channel_outer(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestLuSlogdet:
