@@ -32,10 +32,7 @@ def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.nd
         if kind in data_io.GENERATORS_2D:
             return data_io.gen_2d(kind, run["data.n"], rng).points
         if kind == "csv":
-            pts = data_io.load_points_csv(run["data.path"])
-            if pts.shape[1] != model_cfg.dim:
-                raise ConfigError(f"csv dimension {pts.shape[1]} != model dim {model_cfg.dim}")
-            return pts
+            return _load_points(run["data.path"], model_cfg)
         raise ConfigError(f"data.kind {kind!r} is not valid for rank2 mode")
     if kind == "textures":
         if model_cfg.height != model_cfg.width:
@@ -48,6 +45,17 @@ def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.nd
         ds = data_io.load_images(run["data.path"])
     else:
         raise ConfigError(f"data.kind {kind!r} is not valid for image mode")
+    return _checked_images(ds, model_cfg)
+
+
+def _load_points(path, model_cfg: ModelConfig) -> np.ndarray:
+    pts = data_io.load_points_csv(path)
+    if pts.shape[1] != model_cfg.dim:
+        raise ConfigError(f"csv dimension {pts.shape[1]} != model dim {model_cfg.dim}")
+    return pts
+
+
+def _checked_images(ds, model_cfg: ModelConfig) -> np.ndarray:
     if ds.images.shape[1:] != (model_cfg.channels, model_cfg.height, model_cfg.width):
         raise ConfigError(f"dataset shape {ds.images.shape[1:]} does not match model config")
     if ds.bits != model_cfg.bits:
@@ -148,16 +156,11 @@ def _load_eval_data(spec: str, model_cfg: ModelConfig, seed: int, n: int):
     if model_cfg.mode == "rank2":
         if spec in data_io.GENERATORS_2D:
             return data_io.gen_2d(spec, n, Rng(seed).child("data")).points
-        return data_io.load_points_csv(spec)
+        return _load_points(spec, model_cfg)
     if spec == "textures":
         return data_io.gen_textures(n, model_cfg.channels, model_cfg.height,
                                     model_cfg.bits, Rng(seed).child("data")).images
-    ds = data_io.load_images(spec)
-    if ds.images.shape[1:] != (model_cfg.channels, model_cfg.height, model_cfg.width):
-        raise ConfigError(f"dataset shape {ds.images.shape[1:]} does not match checkpoint")
-    if ds.bits != model_cfg.bits:
-        raise ConfigError(f"dataset bit depth {ds.bits} != model.bits {model_cfg.bits}")
-    return ds.images
+    return _checked_images(data_io.load_images(spec), model_cfg)
 
 
 def cmd_eval(args) -> int:

@@ -178,23 +178,27 @@ class Inv1x1:
 
 
 def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """N x C x H x W -> N x C*k*k x H x W: the zero-padded k x k neighbourhood
-    of every pixel, ordered (channel, row tap, column tap) like the rows of a
-    C_out x C_in x k x k kernel reshaped to C_out x C_in*k*k. For k = 1 this
-    is x itself."""
-    if k == 1:
-        return x
+    """N x C x H x W -> N x H*W x k*k*C: row i*W + j holds the zero-padded
+    k x k neighbourhood of pixel (i, j), ordered (row tap, column tap,
+    channel) like the kernel rows of ``Conv2d._apply``. Each tap's C
+    channels are contiguous, so the one copy that builds the matrix moves
+    runs of C doubles. For k = 1 this is a transposed view of x, no copy."""
     n, c, h, w = nchw(x)
+    if k == 1:
+        return x.reshape(n, c, h * w).transpose(0, 2, 1)
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # windows of the padded image's full H x W extent, one per kernel tap
-    return sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(n, c * k * k, h, w)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # N x H x W x C x k x k
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h * w, k * k * c)
 
 
 class Conv2d:
     """Plain 3x3 / 1x1 convolution with zero padding, manual adjoint.
 
-    Forward is one channel product of the kernel with the input patches.
+    Forward is one stacked product per sample, kernel rows times the
+    transposed H*W x k*k*C_in patch matrix, which lands directly in NCHW.
+    The weight gradient contracts dy with the patches over batch and pixels.
     The stride-1 same-padding adjoint is the same convolution of dy with the
     flipped, channel-transposed kernel. The cache holds only the input, and
     backward rebuilds its patches.
@@ -210,16 +214,26 @@ class Conv2d:
             self.w = rng.normal((c_out, c_in, kernel, kernel)) * math.sqrt(2.0 / fan_in)
         self.b = np.zeros(c_out)
 
+    def _apply(self, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x convolved with a C_out x C_in x k x k kernel, without bias. The
+        kernel becomes C_out x k*k*C_in rows in the patch column order."""
+        n, _, h, w = nchw(x)
+        rows = kernel.transpose(0, 2, 3, 1).reshape(kernel.shape[0], -1)
+        return (rows @ _patches(x, self.kernel).transpose(0, 2, 1)).reshape(
+            n, kernel.shape[0], h, w)
+
     def forward(self, x):
-        y = channel_matmul(self.w.reshape(self.w.shape[0], -1), _patches(x, self.kernel))
+        y = self._apply(self.w, x)
         y += self.b[None, :, None, None]
         return y, {"x": x}
 
     def backward(self, dy, cache):
+        n, c_out, h, w = nchw(dy)
         k = self.kernel
-        gw = channel_outer(dy, _patches(cache["x"], k)).reshape(self.w.shape)
-        w_adj = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = channel_matmul(w_adj.reshape(w_adj.shape[0], -1), _patches(dy, k))
+        gw = np.tensordot(dy.reshape(n, c_out, h * w), _patches(cache["x"], k),
+                          axes=([0, 2], [0, 1]))
+        gw = gw.reshape(c_out, k, k, -1).transpose(0, 3, 1, 2)
+        dx = self._apply(self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dy)
         return dx, gw, dy.sum(axis=(0, 2, 3))
 
 

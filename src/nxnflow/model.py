@@ -227,30 +227,37 @@ class MultiScaleModel:
         """An NCHW flow tensor in the public layout (N x D in rank-2 mode)."""
         return h[:, :, 0, 0] if self.config.mode == "rank2" else h
 
-    def forward_with_tape(self, x: np.ndarray):
-        """Returns (FlowOutput, tape) with NCHW latent parts; the tape holds
-        one cache per flow entry and drives the exact backward pass."""
+    def _walk(self, x: np.ndarray, tape: list | None) -> FlowOutput:
+        """The forward pass with NCHW latent parts. Each flow entry's cache
+        is appended to ``tape`` when one is given and dropped otherwise, so a
+        pass that no backward follows keeps no activations alive."""
         h = self._check_input(x)
         logdet = np.zeros(h.shape[0])
         z_parts = []
-        tape = []
         for name, layer in self.flow:
             if layer is None:
                 h, factored = split_channels(h)
                 z_parts.append(factored)
-                tape.append(None)
-                continue
-            h, ld, cache = layer.forward(h)
-            if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
-                raise NumericError(f"non-finite activation at {name}")
-            logdet += ld
-            tape.append(cache)
+                cache = None
+            else:
+                h, ld, cache = layer.forward(h)
+                if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
+                    raise NumericError(f"non-finite activation at {name}")
+                logdet += ld
+            if tape is not None:
+                tape.append(cache)
         z_parts.append(h)
-        return FlowOutput(z_parts=z_parts, logdet=logdet), tape
+        return FlowOutput(z_parts=z_parts, logdet=logdet)
+
+    def forward_with_tape(self, x: np.ndarray):
+        """Returns (FlowOutput, tape) with NCHW latent parts; the tape holds
+        one cache per flow entry and drives the exact backward pass."""
+        tape = []
+        return self._walk(x, tape), tape
 
     def forward(self, x: np.ndarray) -> FlowOutput:
         """Latent parts in the shapes of ``config.z_shapes()``."""
-        out, _ = self.forward_with_tape(x)
+        out = self._walk(x, None)
         out.z_parts = [self._from_flow(z) for z in out.z_parts]
         return out
 

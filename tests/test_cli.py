@@ -262,6 +262,12 @@ class TestEvalCommand:
                      "--n", "64", "--seed", "1", "--out", str(out)]) == 0
         assert out.read_text().startswith("nll_nats,bpd\n")
 
+    def test_csv_dimension_mismatch_exit_code(self, trained, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        assert main(["eval", "--checkpoint", trained, "--data", str(data)]) == 2
+        assert "csv dimension 3 != model dim 2" in capsys.readouterr().err
+
 
 class TestSampleCommand:
     @pytest.fixture()

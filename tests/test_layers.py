@@ -12,7 +12,8 @@ from nxnflow.layers import (ChannelAffine, Conv2d, Coupling, Inv1x1, Squeeze, sp
 from nxnflow.model import standard_normal_logp
 from nxnflow.suites import LAYER_KINDS, random_layer
 from nxnflow.tensor import Rng
-from nxnflow.verify import StandardConvSpec, direct_convolution, numerical_jacobian
+from nxnflow.verify import (StandardConvSpec, check_input_gradient, check_param_gradients,
+                            direct_convolution, numerical_jacobian)
 
 
 def identity_actnorm(channels):
@@ -246,7 +247,8 @@ class TestConv2d:
     @settings(max_examples=20, deadline=None)
     def test_forward_matches_direct_convolution(self, seed, kernel):
         rng = Rng(seed)
-        n, c, d, h, w = (int(v) for v in rng.integers(1, 5, (5,)))
+        n = int(rng.integers(0, 5))
+        c, d, h, w = (int(v) for v in rng.integers(1, 5, (4,)))
         conv = Conv2d(c, d, kernel, rng.child("w"))
         conv.b = rng.normal((d,))
         x = rng.normal((n, c, h, w))
@@ -270,6 +272,25 @@ class TestConv2d:
         assert float((x * dx).sum()) == pytest.approx(inner, rel=1e-12)
         assert float((conv.w * gw).sum()) == pytest.approx(inner, rel=1e-12)
         np.testing.assert_allclose(gb, dy.sum(axis=(0, 2, 3)))
+
+    def test_backward_matches_finite_differences(self):
+        # every entry of gw and dx, on a non-square grid with c != d, so a
+        # tap or channel mix-up in the patch columns cannot cancel out
+        rng = Rng(7)
+        conv = Conv2d(2, 3, 3, rng.child("w"))
+        conv.b = rng.normal((3,))
+        x = rng.normal((2, 2, 5, 4))
+        dy = rng.normal((2, 3, 5, 4))
+
+        def loss_at(xv):
+            return float((conv.forward(xv)[0] * dy).sum())
+
+        _, cache = conv.forward(x)
+        dx, gw, gb = conv.backward(dy, cache)
+        analytic = {"w": gw, "b": gb}
+        params = {"w": conv.w, "b": conv.b}
+        assert check_param_gradients(lambda: loss_at(x), params, analytic) < 1e-5
+        assert check_input_gradient(loss_at, x, dx) < 1e-5
 
 
 class TestSqueezeSplit:
