@@ -5,7 +5,7 @@ Layout (all little-endian):
     magic b"NXNF", u32 version
     u32 length + model-config echo (UTF-8 key = value lines)
     u64 step counter
-    u32 param count; per param: u16 name length + name, u8 rank,
+    u32 param count; per param: u16 name length + name, u8 rank (<= 64),
         rank x u32 extents, float64 payload
     u8 optimizer-present flag; if set: u64 t, then per param (same order)
         the Adam m then v arrays, float64, same shape as the param
@@ -19,6 +19,7 @@ mismatched config echo.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -30,6 +31,7 @@ from .errors import ConfigError, FormatError
 
 NXNF_MAGIC = b"NXNF"
 NXNF_VERSION = 2
+MAX_RANK = 64  # numpy's limit on array dimensions
 
 
 @dataclass
@@ -132,9 +134,16 @@ def deserialize(raw: bytes) -> Checkpoint:
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.text(name_len, "array name")
+        rank_at = r.pos
         (rank,) = r.unpack("<B")
-        shape = r.unpack(f"<{rank}I") if rank else ()
-        size = int(np.prod(shape)) if shape else 1
+        if rank > MAX_RANK:
+            raise FormatError(f"array rank {rank} exceeds {MAX_RANK}", offset=rank_at)
+        shape = r.unpack(f"<{rank}I")
+        # numpy refuses a shape whose nonzero extents span more bytes than an
+        # intp holds, even when another extent is 0
+        if 8 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+            raise FormatError(f"array shape {shape} is too large", offset=rank_at)
+        size = math.prod(shape)
         arr = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
         params[name] = arr
     (has_opt,) = r.unpack("<B")

@@ -114,6 +114,9 @@ class Inv1x1:
             self.u_sign = np.sign(diag)
             self.log_u_diag = np.log(np.abs(diag))
             self.u_off = np.triu(upper, 1)
+            self._strict_lower = np.tri(channels, k=-1, dtype=bool)
+            self._strict_upper = self._strict_lower.T
+            self._eye = np.eye(channels)
 
     def params(self):
         if self.mode == "direct":
@@ -126,8 +129,9 @@ class Inv1x1:
 
     def _triangles(self) -> tuple[np.ndarray, np.ndarray]:
         """The PLU factors L (unit lower) and U (upper) from the parameters."""
-        lower = np.tril(self.l_strict, -1) + np.eye(self.channels)
-        upper = np.triu(self.u_off, 1) + np.diag(self.u_sign * np.exp(self.log_u_diag))
+        lower = np.where(self._strict_lower, self.l_strict, self._eye)
+        upper = np.where(self._strict_upper, self.u_off, 0.0)
+        upper.flat[::self.channels + 1] = self.u_sign * np.exp(self.log_u_diag)
         return lower, upper
 
     @property
@@ -162,17 +166,18 @@ class Inv1x1:
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
         gw = channel_outer(dy, x)
-        dx = channel_matmul(self.matrix.T, dy)
         ld = x.shape[2] * x.shape[3] * dlogdet.sum()
         if self.mode == "direct":
+            dx = channel_matmul(self.w.T, dy)
             return dx, {"w": gw + ld * np.linalg.inv(self.w).T}
         lower, upper = self._triangles()
+        dx = channel_matmul((self.p @ lower @ upper).T, dy)
         g_lower = self.p.T @ gw @ upper.T
         g_upper = lower.T @ self.p.T @ gw
         g_log_u = np.diag(g_upper) * self.u_sign * np.exp(self.log_u_diag) + ld
         return dx, {
-            "l_strict": np.tril(g_lower, -1),
-            "u_off": np.triu(g_upper, 1),
+            "l_strict": np.where(self._strict_lower, g_lower, 0.0),
+            "u_off": np.where(self._strict_upper, g_upper, 0.0),
             "log_u_diag": g_log_u,
         }
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, FormatError, NumericError
 from .model import MultiScaleModel, bits_per_dim
 from .tensor import Rng
 
@@ -42,36 +42,72 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a named parameter tree."""
+    """Standard bias-corrected Adam over a named parameter tree.
+
+    Each moment is one flat float64 vector; parameter k owns the slice
+    ``slices[k]`` of it, in the parameter order given at construction.
+    ``m`` and ``v`` map each name to a view of its slice in the
+    parameter's shape, so writing to them writes the state.
+    """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.slices, end = {}, 0
+        for k, p in params.items():
+            self.slices[k] = slice(end, end + p.size)
+            end += p.size
+        self._m, self._v = np.zeros(end), np.zeros(end)
+        self.m = {k: self._m[s].reshape(params[k].shape) for k, s in self.slices.items()}
+        self.v = {k: self._v[s].reshape(params[k].shape) for k, s in self.slices.items()}
 
-    def step(self, params: dict, grads: dict) -> None:
-        for g in grads.values():
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient; step aborted")
+    def gather(self, grads: dict) -> np.ndarray:
+        """The gradient tree as one new flat vector in parameter order."""
+        g = np.concatenate([grads[k] for k in self.slices], axis=None)
+        if not np.isfinite(g).all():
+            bad = next(k for k, s in self.slices.items() if not np.isfinite(g[s]).all())
+            raise NumericError(f"non-finite gradient of {bad}; step aborted")
+        return g
+
+    def load_state(self, t: int, m: dict, v: dict) -> None:
+        """Continue from saved moments, whose names and shapes must be the
+        parameters' own."""
+        for what, saved in (("m", m), ("v", v)):
+            bad = sorted(saved.keys() ^ self.m.keys()) or [
+                k for k in self.m if saved[k].shape != self.m[k].shape]
+            if bad:
+                raise FormatError(f"optimizer state {what} does not match the model's "
+                                  f"parameters at {bad[0]!r}")
+        self.t = t
+        for k in self.m:
+            self.m[k][...] = m[k]
+            self.v[k][...] = v[k]
+
+    def step(self, params: dict, g: np.ndarray) -> None:
+        """One update from the flat gradient vector ``g`` (see ``gather``);
+        each parameter array in ``params`` is updated in place."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for k, p in params.items():
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            p -= self.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+        m, v = self._m, self._v
+        # b1*m + (1-b1)*g and b2*v + ((1-b2)*g)*g in the per-array formula's order
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for k, s in self.slices.items():
+            p = params[k]
+            p -= update[s].reshape(p.shape)
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_global_norm(g: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient vector g in place so its L2 norm is at most
+    max_norm; returns the norm before scaling."""
+    total = math.sqrt(float((g * g).sum()))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        g *= max_norm / total
     return total
 
 
@@ -125,11 +161,10 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
 
     if resume is None:
         model.init_actnorms(get_batch())
-    opt = Adam(model.param_tree(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    params = model.param_tree()  # live arrays, updated in place by every step
+    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     if resume is not None:
-        opt.t = adam_state["t"]
-        opt.m = {k: v.copy() for k, v in adam_state["m"].items()}
-        opt.v = {k: v.copy() for k, v in adam_state["v"].items()}
+        opt.load_state(adam_state["t"], adam_state["m"], adam_state["v"])
 
     metrics = []
     t0 = time.monotonic()
@@ -138,8 +173,11 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
         loss, grads, _ = model.loss_and_grads(batch)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss at step {step}; aborting")
-        gnorm = clip_global_norm(grads, cfg.clip_norm)
-        opt.step(model.param_tree(), grads)
+        g = opt.gather(grads)
+        del grads  # the flat copy is all the update needs
+        gnorm = clip_global_norm(g, cfg.clip_norm)
+        opt.step(params, g)
+        del g  # no gradient stays alive through the next forward pass
         row = MetricsRow(step, loss, bits_per_dim(loss, dims, cfg.bits if image_mode else 0),
                          gnorm, time.monotonic() - t0)
         metrics.append(row)

@@ -1,7 +1,13 @@
+import functools
 import os
+import pathlib
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nxnflow import checkpoint as ckpt_io
 from nxnflow.cli import main
@@ -62,6 +68,22 @@ def rank2_checkpoint(tmp_path, log_scale=0.0):
     p = tmp_path / "m.nxnf"
     ckpt_io.save(untrained_checkpoint(model), p)
     return str(p)
+
+
+@functools.cache
+def trained_checkpoint_bytes() -> bytes:
+    """The NXNF file of a one-step rank2 training run, optimizer state included."""
+    with tempfile.TemporaryDirectory() as d:
+        cfg = pathlib.Path(d, "cfg.txt")
+        cfg.write_text(RANK2_CFG)
+        assert main(["train", "--config", str(cfg), "--set", "train.steps=1", "--out", d]) == 0
+        return pathlib.Path(d, "checkpoint.nxnf").read_bytes()
+
+
+def first_rank_offset(ck) -> int:
+    """Byte offset of the first array's rank in the serialized checkpoint."""
+    first = sorted(ck.params)[0]
+    return 12 + len(ck.config_text.encode()) + 8 + 4 + 2 + len(first.encode())
 
 
 class TestConfigParsing:
@@ -142,6 +164,54 @@ class TestCheckpointFormat:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"offset {offset}" in err[0]
 
+    def test_rank_above_limit_names_offset(self):
+        # 65 zero extents: an empty payload, then a 65-dimensional reshape
+        ck = untrained_checkpoint(random_small_model(Rng(0)))
+        raw = bytearray(ckpt_io.serialize(ck))
+        at = first_rank_offset(ck)
+        raw[at] = 65
+        raw[at + 1:at + 1 + 65 * 4] = bytes(65 * 4)
+        with pytest.raises(FormatError, match="rank 65") as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == at
+
+    @pytest.mark.parametrize("extents", [(2 ** 31, 2 ** 31, 4), (2 ** 31, 2 ** 31, 0)])
+    def test_oversized_shape_names_offset(self, tmp_path, capsys, extents):
+        # 2^64 elements wrap to 0 in int64; with a 0 extent numpy still
+        # refuses the other two
+        ck = untrained_checkpoint(random_small_model(Rng(0)))
+        raw = bytearray(ckpt_io.serialize(ck))
+        at = first_rank_offset(ck)
+        raw[at:at + 13] = struct.pack("<B3I", 3, *extents)
+        with pytest.raises(FormatError, match="too large") as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == at
+        p = tmp_path / "bad.nxnf"
+        p.write_bytes(bytes(raw))
+        assert main(["sample", "--checkpoint", str(p), "--out", str(tmp_path / "s")]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_truncation_raises_format_error(self, data):
+        raw = trained_checkpoint_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(FormatError):
+            ckpt_io.deserialize(raw[:cut])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_byte_mutations_raise_only_format_error(self, data):
+        raw = bytearray(trained_checkpoint_bytes())
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                                   min_size=1, max_size=3))
+        for pos, value in edits:
+            raw[pos] = value
+        try:
+            ckpt_io.deserialize(bytes(raw))
+        except FormatError:
+            pass  # failing closed is the contract; any other exception fails the test
+
     def test_restored_forward_identical(self, tmp_path):
         model = random_small_model(Rng(3))
         p = tmp_path / "m.nxnf"
@@ -211,6 +281,37 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(bad)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "rng state" in err[0]
+
+    def test_resume_is_bit_exact(self, tmp_path):
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        assert main(["train", "--config", cfg, "--set", "train.steps=4",
+                     "--out", str(straight)]) == 0
+        assert main(["train", "--config", cfg, "--set", "train.steps=2",
+                     "--out", str(resumed)]) == 0
+        assert main(["train", "--config", cfg, "--set", "train.steps=2", "--out", str(resumed),
+                     "--resume", str(resumed / "checkpoint.nxnf")]) == 0
+        assert ((resumed / "checkpoint.nxnf").read_bytes()
+                == (straight / "checkpoint.nxnf").read_bytes())
+
+    @pytest.mark.parametrize("edit", ["drop", "add_buffer"])
+    def test_resume_optimizer_state_mismatch_exit_code(self, tmp_path, capsys, edit):
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", "train.steps=1", "--out", str(out)]) == 0
+        ck = ckpt_io.load(out / "checkpoint.nxnf")
+        if edit == "drop":
+            name = "level0/step0/actnorm/bias"
+            del ck.adam_m[name], ck.adam_v[name]
+        else:  # a PLU permutation buffer is not a learnable parameter
+            name = "level0/step0/mix/p"
+            ck.adam_m[name] = ck.adam_v[name] = np.zeros_like(ck.params[name])
+        bad = tmp_path / "bad.nxnf"
+        ckpt_io.save(ck, bad)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(bad)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "optimizer state" in err[0] and name in err[0]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, RANK2_CFG + "model.bogus = 1\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nxnflow.data import gen_2d
-from nxnflow.errors import DataError, NumericError
+from nxnflow.errors import DataError, FormatError, NumericError
 from nxnflow.layers import Coupling
 from nxnflow.model import ModelConfig, MultiScaleModel
 from nxnflow.suites import random_layer
@@ -43,33 +43,84 @@ class TestDequantize:
         np.testing.assert_array_equal(dequantize(x, 5, Rng(7)), dequantize(x, 5, Rng(7)))
 
 
+def per_array_adam(params, grad_steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written per array, the reference for the flat-vector update."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for k, p in params.items():
+            g = grads[k]
+            m[k] = beta1 * m[k] + (1 - beta1) * g
+            v[k] = beta2 * v[k] + (1 - beta2) * g * g
+            p -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+    return m, v
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
         params = {"p": Rng(0).normal((5,))}
         ref = params["p"].copy()
         opt = Adam(params)
-        opt.step(params, {"p": np.zeros(5)})
+        opt.step(params, opt.gather({"p": np.zeros(5)}))
         np.testing.assert_array_equal(params["p"], ref)
 
     def test_first_step_magnitude(self):
         params = {"p": np.zeros(3)}
         opt = Adam(params, lr=1e-3, eps=1e-8)
-        opt.step(params, {"p": np.ones(3)})
+        opt.step(params, opt.gather({"p": np.ones(3)}))
         # bias-corrected first step: -lr * g / (|g| + eps) ~= -1e-3
         np.testing.assert_allclose(params["p"], -1e-3, rtol=1e-6)
 
     def test_nonfinite_gradient_aborts(self):
         params = {"p": np.zeros(2)}
         opt = Adam(params)
-        with pytest.raises(NumericError):
-            opt.step(params, {"p": np.array([1.0, np.nan])})
+        with pytest.raises(NumericError, match="gradient of p"):
+            opt.gather({"p": np.array([1.0, np.nan])})
 
     def test_clip_global_norm(self):
-        grads = {"a": np.full(4, 100.0), "b": np.full(9, 100.0)}
-        norm = clip_global_norm(grads, 50.0)
+        g = np.concatenate([np.full(4, 100.0), np.full(9, 100.0)])
+        norm = clip_global_norm(g, 50.0)
         assert norm == pytest.approx(100.0 * math.sqrt(13))
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        assert total == pytest.approx(50.0)
+        assert math.sqrt(float((g * g).sum())) == pytest.approx(50.0)
+
+    def test_flat_update_matches_per_array_formula(self):
+        shapes = {"conv/w": (3, 2, 3, 3), "conv/b": (3,), "mix": (2, 2), "one": (1,)}
+        rng = Rng(0)
+        params = {k: rng.normal(s) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        # conv-like weight gradients arrive as non-contiguous views
+        grad_steps = [{k: (rng.normal(s[::-1]).T if len(s) > 2 else rng.normal(s))
+                       for k, s in shapes.items()} for _ in range(6)]
+        opt = Adam(params, lr=1e-2)
+        for grads in grad_steps:
+            opt.step(params, opt.gather(grads))
+        ref_m, ref_v = per_array_adam(ref, grad_steps, lr=1e-2)
+        assert opt.t == 6
+        for k in shapes:
+            np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
+            np.testing.assert_array_equal(opt.m[k], ref_m[k], err_msg=k)
+            np.testing.assert_array_equal(opt.v[k], ref_v[k], err_msg=k)
+            assert np.shares_memory(opt.m[k], opt._m) and np.shares_memory(opt.v[k], opt._v)
+
+    def test_load_state_writes_into_the_views(self):
+        params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
+        opt = Adam(params)
+        m = {"a": np.full((2, 2), 0.5), "b": np.arange(3.0)}
+        v = {"a": np.ones((2, 2)), "b": np.full(3, 2.0)}
+        opt.load_state(7, m, v)
+        assert opt.t == 7
+        np.testing.assert_array_equal(opt._m, [0.5, 0.5, 0.5, 0.5, 0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(opt._v, [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("m", [{"a": np.zeros((2, 2))},
+                                   {"a": np.zeros((2, 2)), "b": np.zeros(3), "c": np.zeros(1)},
+                                   {"a": np.zeros(4), "b": np.zeros(3)}])
+    def test_load_state_rejects_mismatched_tree(self, m):
+        opt = Adam({"a": np.zeros((2, 2)), "b": np.zeros(3)})
+        with pytest.raises(FormatError, match="optimizer state m"):
+            opt.load_state(1, m, m)
 
 
 class TestLayerBackwardContracts:
