@@ -5,16 +5,18 @@ Layout (all little-endian):
     magic b"NXNF", u32 version
     u32 length + model-config echo (UTF-8 key = value lines)
     u64 step counter
-    u32 param count; per param: u16 name length + name, u8 rank (<= 64),
-        rank x u32 extents, float64 payload
-    u8 optimizer-present flag; if set: u64 t, then per param (same order)
-        the Adam m then v arrays, float64, same shape as the param
+    u32 array count; per array (learnable parameters and the PLU buffers
+        ``p``/``u_sign``, sorted by name): u16 name length + name,
+        u8 rank (<= 64), rank x u32 extents, float64 payload
+    u8 optimizer-present flag; if set: u64 t, u32 state count, then per
+        learnable parameter (sorted by name): u16 name length + name, and
+        the Adam m then v payloads, float64, in the shape of that array
     u32 length + rng-state JSON (UTF-8)
 
 Text fields that are not UTF-8 raise FormatError at the offending byte.
-Version 2 names the per-channel affine parameters ``log_scale``/``bias``;
-version 1 files are refused. Round trips are bit-exact; loading refuses a
-mismatched config echo.
+Version 3's config echo has no 1x1-mode line (the 1x1 convolution is
+always PLU); versions 1 and 2 are refused. Round trips are bit-exact;
+loading refuses a mismatched config echo.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 NXNF_MAGIC = b"NXNF"
-NXNF_VERSION = 2
+NXNF_VERSION = 3
 MAX_RANK = 64  # numpy's limit on array dimensions
 
 
@@ -79,7 +81,6 @@ def serialize(ckpt: Checkpoint) -> bytes:
     if ckpt.adam_t is None:
         parts.append(struct.pack("<B", 0))
     else:
-        # optimizer state may cover a subset of params (buffers carry none)
         parts.append(struct.pack("<B", 1))
         parts.append(struct.pack("<Q", ckpt.adam_t))
         opt_names = sorted(ckpt.adam_m)

@@ -22,7 +22,6 @@ KNOWN_KEYS = {
     "model.depth_k": (int, 8),
     "model.levels": (int, 1),
     "model.hidden_width": (int, 32),
-    "model.inv1x1_mode": (str, "plu"),
     "model.bits": (int, 5),
     "train.batch_size": (int, 64),
     "train.steps": (int, 1000),
@@ -79,17 +78,14 @@ class RunConfig:
         return ModelConfig(**{f.name: self[f"model.{f.name}"] for f in fields(ModelConfig)})
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(
-                batch_size=self["train.batch_size"],
-                steps=self["train.steps"],
-                lr=self["train.lr"],
-                seed=self["train.seed"],
-                bits=self["model.bits"],
-                checkpoint_every=self["train.checkpoint_every"],
-            )
-        except ValueError as e:
-            raise ConfigError(str(e))
+        return TrainConfig(
+            batch_size=self["train.batch_size"],
+            steps=self["train.steps"],
+            lr=self["train.lr"],
+            seed=self["train.seed"],
+            bits=self["model.bits"],
+            checkpoint_every=self["train.checkpoint_every"],
+        )
 
 
 def model_config_from_text(text: str) -> ModelConfig:

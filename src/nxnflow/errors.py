@@ -17,10 +17,6 @@ class DegenerateChannelError(NxnFlowError):
     """A channel has (near-)zero variance and cannot be normalized."""
 
 
-class SingularMatrixError(NxnFlowError):
-    """A matrix that must be invertible is singular within tolerance."""
-
-
 class NumericError(NxnFlowError):
     """A non-finite value appeared where a finite one is required."""
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateChannelError, ShapeError, SingularMatrixError, StateError
+from .errors import DegenerateChannelError, ShapeError, StateError
 from .tensor import Rng, channel_affine, channel_matmul, channel_outer, lu_factor, nchw
 
 
@@ -87,40 +87,31 @@ class ChannelAffine:
 
 
 class Inv1x1:
-    """Invertible 1x1 convolution, PLU-parameterized by default.
+    """Invertible 1x1 convolution, PLU-parameterized.
 
-    PLU mode stores W = P @ L @ U with P a fixed permutation, L unit lower
-    triangular and U upper triangular with diag(U) = sign * exp(log_u_diag);
-    invertibility is structural and the log-det is O(C). DirectW mode keeps
-    the raw matrix and pays a LAPACK slogdet per log-det.
+    W = P @ L @ U with P a fixed permutation, L unit lower triangular and U
+    upper triangular with diag(U) = sign * exp(log_u_diag), so invertibility
+    is structural and the log-det is O(C).
     """
 
-    def __init__(self, channels: int, rng: Rng, mode: str = "plu"):
-        if mode not in ("plu", "direct"):
-            raise ValueError(f"unknown inv1x1 mode {mode!r}")
+    def __init__(self, channels: int, rng: Rng):
         self.channels = channels
-        self.mode = mode
         # rotation init: orthogonal, |det| = 1, so the initial logdet is 0
         a = rng.normal((channels, channels))
         q, r = np.linalg.qr(a)
         q = q * np.sign(np.diag(r))[None, :]
-        if mode == "direct":
-            self.w = q
-        else:
-            perm, lower, upper = lu_factor(q)
-            self.p = np.eye(channels)[np.argsort(perm)]  # a[perm] = L U -> a = P L U
-            self.l_strict = np.tril(lower, -1)
-            diag = np.diag(upper)
-            self.u_sign = np.sign(diag)
-            self.log_u_diag = np.log(np.abs(diag))
-            self.u_off = np.triu(upper, 1)
-            self._strict_lower = np.tri(channels, k=-1, dtype=bool)
-            self._strict_upper = self._strict_lower.T
-            self._eye = np.eye(channels)
+        perm, lower, upper = lu_factor(q)
+        self.p = np.eye(channels)[np.argsort(perm)]  # a[perm] = L U -> a = P L U
+        self.l_strict = np.tril(lower, -1)
+        diag = np.diag(upper)
+        self.u_sign = np.sign(diag)
+        self.log_u_diag = np.log(np.abs(diag))
+        self.u_off = np.triu(upper, 1)
+        self._strict_lower = np.tri(channels, k=-1, dtype=bool)
+        self._strict_upper = self._strict_lower.T
+        self._eye = np.eye(channels)
 
     def params(self):
-        if self.mode == "direct":
-            return {"w": self.w}
         return {
             "l_strict": self.l_strict,
             "u_off": self.u_off,
@@ -136,22 +127,12 @@ class Inv1x1:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.mode == "direct":
-            return self.w
         lower, upper = self._triangles()
         return self.p @ lower @ upper
 
-    def _logdet_scalar(self) -> float:
-        if self.mode == "direct":
-            sign, logabs = np.linalg.slogdet(self.w)
-            if sign == 0:
-                raise SingularMatrixError("1x1 convolution matrix is singular")
-            return float(logabs)
-        return float(self.log_u_diag.sum())
-
     def forward(self, x):
         n, _, h, w = nchw(x)
-        logdet = np.full(n, h * w * self._logdet_scalar())
+        logdet = np.full(n, h * w * float(self.log_u_diag.sum()))
         return channel_matmul(self.matrix, x), logdet, {"x": x}
 
     def inverse(self, y):
@@ -159,17 +140,12 @@ class Inv1x1:
         # solve over all N*H*W fibers runs OpenBLAS's multi-threaded trsm even
         # for a 2 x 2 matrix, and its woken worker keeps spinning on another
         # CPU after the call returns.
-        if self.mode == "direct":
-            self._logdet_scalar()  # raises on a singular matrix
         return channel_matmul(np.linalg.inv(self.matrix), y)
 
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
         gw = channel_outer(dy, x)
         ld = x.shape[2] * x.shape[3] * dlogdet.sum()
-        if self.mode == "direct":
-            dx = channel_matmul(self.w.T, dy)
-            return dx, {"w": gw + ld * np.linalg.inv(self.w).T}
         lower, upper = self._triangles()
         dx = channel_matmul((self.p @ lower @ upper).T, dy)
         g_lower = self.p.T @ gw @ upper.T

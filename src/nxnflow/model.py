@@ -24,10 +24,6 @@ from .tensor import Rng
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Published reference bits/dim for the full-scale runs; documentation only,
-# not desk-scale targets.
-REFERENCE_BPD = {"cifar10": 3.50, "imagenet32": 3.96, "imagenet64": 3.74}
-
 
 @dataclass
 class ModelConfig:
@@ -39,7 +35,6 @@ class ModelConfig:
     depth_k: int = 8
     levels: int = 2
     hidden_width: int = 32
-    inv1x1_mode: str = "plu"           # "plu" or "direct"
     bits: int = 5                      # image bit depth for dequantization / bpd
 
     def __post_init__(self):
@@ -50,8 +45,6 @@ class ModelConfig:
             raise ConfigError(f"unknown model mode {self.mode!r}")
         if self.depth_k < 0 or self.levels < 1 or self.hidden_width < 1:
             raise ConfigError("depth_k >= 0, levels >= 1, hidden_width >= 1 required")
-        if self.inv1x1_mode not in ("plu", "direct"):
-            raise ConfigError(f"unknown inv1x1 mode {self.inv1x1_mode!r}")
         if self.mode == "image":
             if not (1 <= self.bits <= 8):
                 raise ConfigError("bits must be in [1, 8]")
@@ -114,11 +107,10 @@ class FlowOutput:
 class FlowStep:
     """actnorm -> shift -> 1x1 mix -> coupling, in that order."""
 
-    def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng,
-                 inv1x1_mode: str = "plu"):
+    def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng):
         self.actnorm = ChannelAffine(channels, data_init=True)
         self.shift = ChannelAffine(channels)
-        self.mix = Inv1x1(channels, rng.child("mix"), mode=inv1x1_mode)
+        self.mix = Inv1x1(channels, rng.child("mix"))
         self.coupling = Coupling(channels, hidden, kernel, rng.child("coupling"))
 
     def sublayers(self):
@@ -154,8 +146,7 @@ class MultiScaleModel:
             if config.mode == "image":
                 self.flow.append((f"level{lev}/squeeze", Squeeze()))
             lev_rng = rng.child(f"level{lev}")
-            steps = [FlowStep(c, config.hidden_width, kernel, lev_rng.child(f"step{k}"),
-                              config.inv1x1_mode)
+            steps = [FlowStep(c, config.hidden_width, kernel, lev_rng.child(f"step{k}"))
                      for k in range(config.depth_k)]
             self.steps.append(steps)
             for k, step in enumerate(steps):
@@ -178,7 +169,7 @@ class MultiScaleModel:
         (the PLU permutation and diagonal signs)."""
         out = {}
         for name, layer in self.flow:
-            if isinstance(layer, Inv1x1) and layer.mode == "plu":
+            if isinstance(layer, Inv1x1):
                 out[f"{name}/p"] = layer.p
                 out[f"{name}/u_sign"] = layer.u_sign
         return out
@@ -310,8 +301,10 @@ class MultiScaleModel:
         return loss, grads, nll
 
     def sample(self, n: int, temperature: float, rng: Rng) -> np.ndarray:
-        if temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+        if n < 0:
+            raise ConfigError(f"sample count must be >= 0, got {n}")
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
         z_parts = [temperature * rng.normal((n,) + tuple(s)) for s in self.config.z_shapes()]
         return self.inverse(z_parts)
 

@@ -15,7 +15,7 @@ from .model import ModelConfig, MultiScaleModel
 from .tensor import Rng
 from .verify import CheckResult, StandardConvSpec
 
-LAYER_KINDS = ("actnorm", "shift", "inv1x1_plu", "inv1x1_direct", "coupling")
+LAYER_KINDS = ("actnorm", "shift", "inv1x1_plu", "coupling")
 
 
 def random_layer(kind: str, channels: int, rng: Rng, hidden: int = 8, kernel: int = 3):
@@ -25,14 +25,10 @@ def random_layer(kind: str, channels: int, rng: Rng, hidden: int = 8, kernel: in
         layer.bias = rng.normal((channels,))
         return layer
     if kind == "inv1x1_plu":
-        layer = Inv1x1(channels, rng.child("init"), mode="plu")
+        layer = Inv1x1(channels, rng.child("init"))
         layer.l_strict = np.tril(rng.normal((channels, channels)), -1)
         layer.u_off = np.triu(rng.normal((channels, channels)), 1)
         layer.log_u_diag = 0.5 * rng.normal((channels,))
-        return layer
-    if kind == "inv1x1_direct":
-        layer = Inv1x1(channels, rng.child("init"), mode="direct")
-        layer.w = layer.w + 0.3 * rng.normal((channels, channels))
         return layer
     if kind == "coupling":
         layer = Coupling(channels, hidden, kernel, rng.child("init"))

@@ -8,9 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import MultiScaleModel, bits_per_dim
 from .tensor import Rng
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+CLIP_NORM = 50.0                      # global gradient-norm limit
 
 
 def dequantize(x_int: np.ndarray, bits: int, rng: Rng) -> np.ndarray:
@@ -28,17 +31,15 @@ class TrainConfig:
     batch_size: int = 64
     steps: int = 1000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     bits: int = 5
-    clip_norm: float = 50.0
     checkpoint_every: int = 500
 
     def __post_init__(self):
-        if self.batch_size < 2 or self.steps < 1 or self.lr <= 0:
-            raise ValueError("batch_size >= 2, steps >= 1, lr > 0 required")
+        if self.batch_size < 2 or self.steps < 1 or self.checkpoint_every < 1:
+            raise ConfigError("batch_size >= 2, steps >= 1, checkpoint_every >= 1 required")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
 
 class Adam:
@@ -50,9 +51,8 @@ class Adam:
     parameter's shape, so writing to them writes the state.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: dict, lr: float = 1e-3):
+        self.lr = lr
         self.t = 0
         self.slices, end = {}, 0
         for k, p in params.items():
@@ -88,15 +88,15 @@ class Adam:
         """One update from the flat gradient vector ``g`` (see ``gather``);
         each parameter array in ``params`` is updated in place."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         m, v = self._m, self._v
         # b1*m + (1-b1)*g and b2*v + ((1-b2)*g)*g in the per-array formula's order
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         for k, s in self.slices.items():
             p = params[k]
             p -= update[s].reshape(p.shape)
@@ -162,7 +162,7 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     if resume is None:
         model.init_actnorms(get_batch())
     params = model.param_tree()  # live arrays, updated in place by every step
-    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(params, cfg.lr)
     if resume is not None:
         opt.load_state(adam_state["t"], adam_state["m"], adam_state["v"])
 
@@ -175,7 +175,7 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
             raise NumericError(f"non-finite loss at step {step}; aborting")
         g = opt.gather(grads)
         del grads  # the flat copy is all the update needs
-        gnorm = clip_global_norm(g, cfg.clip_norm)
+        gnorm = clip_global_norm(g, CLIP_NORM)
         opt.step(params, g)
         del g  # no gradient stays alive through the next forward pass
         row = MetricsRow(step, loss, bits_per_dim(loss, dims, cfg.bits if image_mode else 0),

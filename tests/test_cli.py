@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import pathlib
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from nxnflow import checkpoint as ckpt_io
 from nxnflow.cli import main
-from nxnflow.config import RunConfig, parse_kv_lines
+from nxnflow.config import KNOWN_KEYS, RunConfig, parse_kv_lines
 from nxnflow.data import load_images, load_points_csv
 from nxnflow.errors import ConfigError, FormatError
 from nxnflow.model import ModelConfig, MultiScaleModel, build_model
@@ -103,6 +104,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_kv_lines("just a line without equals")
 
+    def test_model_keys_are_model_config_fields(self):
+        keys = {k.split(".", 1)[1] for k in KNOWN_KEYS if k.startswith("model.")}
+        assert keys == {f.name for f in dataclasses.fields(ModelConfig)}
+
 
 class TestCheckpointFormat:
     def test_bit_exact_roundtrip(self, tmp_path):
@@ -134,13 +139,14 @@ class TestCheckpointFormat:
         with pytest.raises(ConfigError):
             ckpt_io.restore_model(ck, other)
 
-    def test_version_1_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_refused(self, tmp_path, capsys, version):
         raw = bytearray(ckpt_io.serialize(untrained_checkpoint(random_small_model(Rng(0)))))
-        raw[4:8] = (1).to_bytes(4, "little")
-        with pytest.raises(FormatError, match="version 1") as e:
+        raw[4:8] = version.to_bytes(4, "little")
+        with pytest.raises(FormatError, match=f"version {version}") as e:
             ckpt_io.deserialize(bytes(raw))
         assert e.value.offset == 4
-        p = tmp_path / "v1.nxnf"
+        p = tmp_path / "old.nxnf"
         p.write_bytes(bytes(raw))
         assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
@@ -318,6 +324,16 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "model.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["train.checkpoint_every=0", "train.checkpoint_every=-1",
+                                         "train.lr=nan", "train.lr=inf"])
+    def test_bad_train_value_exit_code(self, tmp_path, capsys, setting):
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", setting, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and setting.split("=")[0].split(".")[1] in err[0]
+        assert not out.exists()
+
     def test_no_partial_output_on_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, RANK2_CFG + "data.kind = nxni\n")
         out = tmp_path / "never"
@@ -401,6 +417,18 @@ class TestSampleCommand:
         assert main(["sample", "--checkpoint", str(out / "checkpoint.nxnf"),
                      "--n", "0", "--seed", "1", "--out", str(dst)]) == 0
         assert load_points_csv(dst).shape[0] == 0
+
+    @pytest.mark.parametrize("flag, value, named", [("--n", "-1", "sample count"),
+                                                    ("--temperature", "nan", "temperature"),
+                                                    ("--temperature", "inf", "temperature")],
+                             ids=["n=-1", "temperature=nan", "temperature=inf"])
+    def test_bad_sample_value_exit_code(self, tmp_path, capsys, flag, value, named):
+        ck = rank2_checkpoint(tmp_path)
+        dst = tmp_path / "s.csv"
+        assert main(["sample", "--checkpoint", ck, flag, value, "--out", str(dst)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
+        assert not dst.exists()
 
     def test_nonfinite_sample_exit_code(self, tmp_path, capsys):
         # exp(-1e6) underflows to 0, so the shift's inverse divides by zero

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nxnflow.errors import DegenerateChannelError, ShapeError, SingularMatrixError, StateError
+from nxnflow.errors import DegenerateChannelError, ShapeError, StateError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,19 @@ from nxnflow.verify import (StandardConvSpec, check_input_gradient, check_param_
 def identity_actnorm(channels):
     layer = ChannelAffine(channels, data_init=True)
     layer.initialized = True
+    return layer
+
+
+def plu_inv1x1(perm, log_scale=0.0):
+    """An Inv1x1 with W = P exp(log_scale): row c of W picks input channel
+    perm[c], L is the identity and U is diagonal."""
+    c = len(perm)
+    layer = Inv1x1(c, Rng(0))
+    layer.p = np.eye(c)[list(perm)]
+    layer.u_sign = np.ones(c)
+    layer.l_strict = np.zeros((c, c))
+    layer.u_off = np.zeros((c, c))
+    layer.log_u_diag = np.full(c, log_scale)
     return layer
 
 
@@ -116,32 +129,23 @@ class TestShift:
 
 class TestInv1x1:
     def test_identity(self):
-        layer = Inv1x1(3, Rng(0), mode="direct")
-        layer.w = np.eye(3)
+        layer = plu_inv1x1([0, 1, 2])
         x = Rng(1).normal((2, 3, 2, 2))
         y, logdet, _ = layer.forward(x)
         np.testing.assert_allclose(y, x)
         np.testing.assert_array_equal(logdet, 0.0)
 
     def test_channel_swap_permutation(self):
-        layer = Inv1x1(2, Rng(0), mode="direct")
-        layer.w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        layer = plu_inv1x1([1, 0])
         x = Rng(1).normal((1, 2, 3, 4))
         y, logdet, _ = layer.forward(x)
         np.testing.assert_array_equal(y[:, 0], x[:, 1])
         assert logdet[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_identity_logdet(self):
-        layer = Inv1x1(2, Rng(0), mode="direct")
-        layer.w = 2.0 * np.eye(2)
+        layer = plu_inv1x1([0, 1], math.log(2.0))  # W = 2 I
         _, logdet, _ = layer.forward(np.zeros((1, 2, 2, 2)))
         assert logdet[0] == pytest.approx(4.0 * math.log(4.0))
-
-    def test_singular_direct_raises(self):
-        layer = Inv1x1(2, Rng(0), mode="direct")
-        layer.w = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            layer.forward(np.zeros((1, 2, 2, 2)))
 
     def test_plu_matches_direct_application(self):
         layer = random_layer("inv1x1_plu", 4, Rng(3))
@@ -154,14 +158,13 @@ class TestInv1x1:
         assert logdet[0] == pytest.approx(9.0 * sign[1], rel=1e-10)
 
     def test_roundtrip_both_modes(self):
-        for kind in ("inv1x1_plu", "inv1x1_direct"):
-            layer = random_layer(kind, 4, Rng(7))
-            x = Rng(8).normal((3, 4, 4, 4))
-            y, _, _ = layer.forward(x)
-            assert np.max(np.abs(layer.inverse(y) - x)) <= 1e-9
+        layer = random_layer("inv1x1_plu", 4, Rng(7))
+        x = Rng(8).normal((3, 4, 4, 4))
+        y, _, _ = layer.forward(x)
+        assert np.max(np.abs(layer.inverse(y) - x)) <= 1e-9
 
     def test_init_is_rotation(self):
-        layer = Inv1x1(5, Rng(11), mode="plu")
+        layer = Inv1x1(5, Rng(11))
         _, logdet, _ = layer.forward(np.zeros((1, 5, 2, 2)))
         assert logdet[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -334,8 +337,7 @@ class TestSqueezeSplit:
 class TestNxnConv:
     def test_identity_composition(self):
         shift = ChannelAffine(3)
-        mix = Inv1x1(3, Rng(0), mode="direct")
-        mix.w = np.eye(3)
+        mix = plu_inv1x1([0, 1, 2])
         x = Rng(1).normal((2, 3, 4, 4))
         y, logdet = nxn_conv_forward(shift, mix, x)
         np.testing.assert_allclose(y, x)

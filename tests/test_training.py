@@ -68,7 +68,7 @@ class TestAdam:
 
     def test_first_step_magnitude(self):
         params = {"p": np.zeros(3)}
-        opt = Adam(params, lr=1e-3, eps=1e-8)
+        opt = Adam(params, lr=1e-3)
         opt.step(params, opt.gather({"p": np.ones(3)}))
         # bias-corrected first step: -lr * g / (|g| + eps) ~= -1e-3
         np.testing.assert_allclose(params["p"], -1e-3, rtol=1e-6)

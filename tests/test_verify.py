@@ -27,8 +27,10 @@ class TestNumericalLogdet:
 
     def test_scaled_1x1(self):
         from nxnflow.layers import Inv1x1
-        layer = Inv1x1(2, Rng(0), mode="direct")
-        layer.w = 2.0 * np.eye(2)
+        layer = Inv1x1(2, Rng(0))  # PLU factors of W = 2 I: P = L = I, U = 2 I
+        layer.p, layer.u_sign = np.eye(2), np.ones(2)
+        layer.l_strict, layer.u_off = np.zeros((2, 2)), np.zeros((2, 2))
+        layer.log_u_diag = np.full(2, math.log(2.0))
         x = Rng(2).normal((2, 2, 2))
         expected = 4.0 * math.log(4.0)
         assert numerical_logdet(layer, x) == pytest.approx(expected, rel=1e-4)
