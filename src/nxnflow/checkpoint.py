@@ -1,22 +1,23 @@
-"""NXNF checkpoints: versioned little-endian parameter snapshots.
+"""NXNF checkpoints: versioned little-endian snapshots of a model's state
+tree and its Adam moments.
 
 Layout (all little-endian):
 
     magic b"NXNF", u32 version
     u32 length + model-config echo (UTF-8 key = value lines)
     u64 step counter
-    u32 array count; per array (learnable parameters and the PLU buffers
-        ``p``/``u_sign``, sorted by name): u16 name length + name,
+    u32 array count; per array, sorted by name: u16 name length + name,
         u8 rank (<= 64), rank x u32 extents, float64 payload
-    u8 optimizer-present flag; if set: u64 t, u32 state count, then per
-        learnable parameter (sorted by name): u16 name length + name, and
-        the Adam m then v payloads, float64, in the shape of that array
+    u8 optimizer-present flag; if set: u64 Adam step t
     u32 length + rng-state JSON (UTF-8)
 
-Text fields that are not UTF-8 raise FormatError at the offending byte.
-Version 3's config echo has no 1x1-mode line (the 1x1 convolution is
-always PLU); versions 1 and 2 are refused. Round trips are bit-exact;
-loading refuses a mismatched config echo.
+The arrays are the model's state tree (learnable parameters and the PLU
+buffers ``p``/``u_sign``) and, when the flag is set, the Adam moments of
+each learnable parameter as ``adam/m/<param>`` and ``adam/v/<param>``.
+Moments with the flag clear, and text fields that are not UTF-8, raise
+FormatError at the offending byte. Version 4 is the only version read;
+versions 1-3 (which stored the moments in a second encoding) are refused.
+Round trips are bit-exact; loading refuses a mismatched config echo.
 """
 
 from __future__ import annotations
@@ -32,17 +33,18 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 NXNF_MAGIC = b"NXNF"
-NXNF_VERSION = 3
+NXNF_VERSION = 4
 MAX_RANK = 64  # numpy's limit on array dimensions
+MAX_BYTES = np.iinfo(np.intp).max  # numpy's limit on the bytes one shape spans
 
 
 @dataclass
 class Checkpoint:
     config_text: str
     step: int
-    params: dict          # name -> float64 array
+    params: dict          # the model's state tree, name -> float64 array
     adam_t: int | None    # None when no optimizer state
-    adam_m: dict
+    adam_m: dict          # Adam moments per learnable parameter name
     adam_v: dict
     rng_state: str        # JSON blob
 
@@ -70,27 +72,20 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
 
 
 def serialize(ckpt: Checkpoint) -> bytes:
+    arrays = dict(ckpt.params)
+    if ckpt.adam_t is not None:
+        for what, moments in (("m", ckpt.adam_m), ("v", ckpt.adam_v)):
+            arrays.update({f"adam/{what}/{k}": v for k, v in moments.items()})
     cfg = ckpt.config_text.encode()
     parts = [NXNF_MAGIC, struct.pack("<I", NXNF_VERSION),
              struct.pack("<I", len(cfg)), cfg,
              struct.pack("<Q", ckpt.step),
-             struct.pack("<I", len(ckpt.params))]
-    names = sorted(ckpt.params)
-    for name in names:
-        parts.append(_pack_array(name, ckpt.params[name]))
+             struct.pack("<I", len(arrays))]
+    parts += [_pack_array(name, arrays[name]) for name in sorted(arrays)]
     if ckpt.adam_t is None:
         parts.append(struct.pack("<B", 0))
     else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(struct.pack("<Q", ckpt.adam_t))
-        opt_names = sorted(ckpt.adam_m)
-        parts.append(struct.pack("<I", len(opt_names)))
-        for name in opt_names:
-            nb = name.encode()
-            parts.append(struct.pack("<H", len(nb)))
-            parts.append(nb)
-            parts.append(np.ascontiguousarray(ckpt.adam_m[name], dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(ckpt.adam_v[name], dtype="<f8").tobytes())
+        parts.append(struct.pack("<BQ", 1, ckpt.adam_t))
     rng = ckpt.rng_state.encode()
     parts.append(struct.pack("<I", len(rng)))
     parts.append(rng)
@@ -131,7 +126,8 @@ def deserialize(raw: bytes) -> Checkpoint:
     config_text = r.text(cfg_len, "config echo")
     (step,) = r.unpack("<Q")
     (count,) = r.unpack("<I")
-    params = {}
+    params, adam_m, adam_v = {}, {}, {}
+    moment_trees = {"adam/m/": adam_m, "adam/v/": adam_v}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         name = r.text(name_len, "array name")
@@ -142,26 +138,20 @@ def deserialize(raw: bytes) -> Checkpoint:
         shape = r.unpack(f"<{rank}I")
         # numpy refuses a shape whose nonzero extents span more bytes than an
         # intp holds, even when another extent is 0
-        if 8 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+        if 8 * math.prod(e for e in shape if e) > MAX_BYTES:
             raise FormatError(f"array shape {shape} is too large", offset=rank_at)
         size = math.prod(shape)
         arr = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
-        params[name] = arr
+        moments = moment_trees.get(name[:7])
+        if moments is None:
+            params[name] = arr
+        else:
+            moments[name[7:]] = arr
+    flag_at = r.pos
     (has_opt,) = r.unpack("<B")
-    adam_t, adam_m, adam_v = None, {}, {}
-    if has_opt:
-        (adam_t,) = r.unpack("<Q")
-        (opt_count,) = r.unpack("<I")
-        for _ in range(opt_count):
-            (name_len,) = r.unpack("<H")
-            name = r.text(name_len, "array name")
-            if name not in params:
-                raise FormatError(f"optimizer state for unknown param {name!r}",
-                                  offset=r.pos)
-            shape = params[name].shape
-            size = params[name].size
-            adam_m[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
-            adam_v[name] = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
+    if not has_opt and (adam_m or adam_v):
+        raise FormatError("adam/ arrays but the optimizer flag is clear", offset=flag_at)
+    adam_t = r.unpack("<Q")[0] if has_opt else None
     (rng_len,) = r.unpack("<I")
     rng_state = r.text(rng_len, "rng state")
     if r.pos != len(raw):
@@ -179,19 +169,13 @@ def load(path) -> Checkpoint:
 
 
 def snapshot_params(model) -> dict:
-    """Learnable parameters plus non-learnable buffers, copied."""
-    out = {k: v.copy() for k, v in model.param_tree().items()}
-    out.update({k: v.copy() for k, v in model.buffer_tree().items()})
-    return out
+    """A copy of the model's state tree."""
+    return {k: v.copy() for k, v in model.state_tree().items()}
 
 
 def restore_model(ckpt: Checkpoint, model) -> None:
-    """Load parameters into a freshly built model; config echo must match."""
+    """Load a checkpoint's state tree into a freshly built model; the config
+    echo must match and ``model.set_state`` checks every array."""
     if ckpt.config_text != model.config.to_text():
         raise ConfigError("checkpoint config does not match the loading model's config")
-    buffer_names = set(model.buffer_tree())
-    model.set_params({k: v for k, v in ckpt.params.items() if k not in buffer_names})
-    model.set_buffers({k: v for k, v in ckpt.params.items() if k in buffer_names})
-    for steps in model.steps:
-        for step in steps:
-            step.actnorm.initialized = True
+    model.set_state(ckpt.params)

@@ -77,18 +77,6 @@ def _run_config_from_args(args) -> RunConfig:
     return run
 
 
-def _resume_state(loaded: ckpt_io.Checkpoint):
-    """(step, optimizer state, RNG streams) that continue the checkpointed run."""
-    if loaded.adam_t is None:
-        raise ConfigError("checkpoint has no optimizer state; cannot resume")
-    try:
-        states = json.loads(loaded.rng_state)
-        rngs = {k: Rng.from_state_json(states[k]) for k in ("dequantize", "batches")}
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise FormatError(f"checkpoint rng state is not a training stream state: {e!r}") from None
-    return loaded.step, {"t": loaded.adam_t, "m": loaded.adam_m, "v": loaded.adam_v}, rngs
-
-
 def _metrics_rows(path: str, resume_step: int | None) -> list:
     """The metrics.csv lines to keep: the header, plus on resume the logged
     rows up to the checkpoint step (rows after it are about to be redone)."""
@@ -113,11 +101,9 @@ def cmd_train(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.csv")
 
     model = build_model(model_cfg, train_cfg.seed)
-    resume = None
-    if args.resume:
-        loaded = ckpt_io.load(args.resume)
-        ckpt_io.restore_model(loaded, model)
-        resume = _resume_state(loaded)
+    resume = ckpt_io.load(args.resume) if args.resume else None
+    if resume is not None:
+        ckpt_io.restore_model(resume, model)
 
     def on_checkpoint(step, opt, rng_states):
         snapshot = ckpt_io.Checkpoint(
@@ -131,15 +117,24 @@ def cmd_train(args) -> int:
         )
         ckpt_io.save(snapshot, ckpt_path)
 
-    kept = _metrics_rows(metrics_path, None if resume is None else resume[0])
-    ckpt_io.write_atomic(metrics_path, "".join(r + "\n" for r in kept).encode())
-    with open(metrics_path, "a", encoding="utf-8") as f:
-        def log(row):
-            f.write(row.csv() + "\n")
-            f.flush()
+    kept = _metrics_rows(metrics_path, None if resume is None else resume.step)
+    f = None
 
-        train(model, data, train_cfg, on_checkpoint=on_checkpoint, log=log,
-              resume=resume)
+    def log(row):
+        # train() checks the resume state before its first step, so the log
+        # is cut back only once a step has run and a refused resume keeps it
+        nonlocal f
+        if f is None:
+            ckpt_io.write_atomic(metrics_path, "".join(r + "\n" for r in kept).encode())
+            f = open(metrics_path, "a", encoding="utf-8")
+        f.write(row.csv() + "\n")
+        f.flush()
+
+    try:
+        train(model, data, train_cfg, on_checkpoint=on_checkpoint, log=log, resume=resume)
+    finally:
+        if f is not None:
+            f.close()
     print(f"trained {train_cfg.steps} steps; checkpoint: {ckpt_path}")
     return 0
 

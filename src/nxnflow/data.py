@@ -1,4 +1,4 @@
-"""Datasets: synthetic 2D densities, bit quantization, and the NXNI format.
+"""Datasets: synthetic 2D densities, textures, and the NXNI format.
 
 NXNI is a flat little-endian binary container for small integer image sets:
 
@@ -7,8 +7,8 @@ NXNI is a flat little-endian binary container for small integer image sets:
     offset 8   u32 count, u32 channels, u32 height, u32 width, u32 bits
     offset 28  payload: count*channels*height*width unsigned bytes, NCHW order
 
-Every payload value must be < 2^bits. PPM (P6, maxval 255) can be imported
-one-way for convenience. Every writer here replaces its file atomically.
+Every payload value must be < 2^bits. Samples can also be written as a P6
+PPM montage. Every writer here replaces its file atomically.
 """
 
 from __future__ import annotations
@@ -84,16 +84,6 @@ def gen_2d(kind: str, n: int, rng: Rng) -> Dataset2D:
     return Dataset2D(points=_normalize(points), kind=kind, seed=rng.seed)
 
 
-def quantize_bits(x_int8: np.ndarray, target_bits: int) -> np.ndarray:
-    """Reduce 8-bit values to target_bits by dropping low bits."""
-    if not (1 <= target_bits <= 8):
-        raise ConfigError(f"target_bits must be in [1, 8], got {target_bits}")
-    x = np.asarray(x_int8)
-    if x.size and (x.min() < 0 or x.max() > 255):
-        raise DataError("values must be 8-bit")
-    return (x.astype(np.uint16) >> (8 - target_bits)).astype(np.uint8)
-
-
 def save_images(ds: ImageDataset, path) -> None:
     count, c, h, w = ds.images.shape
     header = _HEADER.pack(NXNI_MAGIC, NXNI_VERSION, count, c, h, w, ds.bits)
@@ -123,41 +113,6 @@ def load_images(path) -> ImageDataset:
         bad = int(np.argmax(payload >= limit))
         raise FormatError(f"value {payload[bad]} >= 2^{bits}", offset=_HEADER.size + bad)
     return ImageDataset(images=payload.reshape(count, c, h, w).copy(), bits=bits)
-
-
-def import_ppm(path, bits: int = 8) -> ImageDataset:
-    """One-way import of a single P6 PPM (maxval 255) image."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    fields = []  # (offset, token)
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        if pos == len(raw):
-            raise FormatError("truncated PPM header", offset=pos)
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append((start, raw[start:pos]))
-    if fields[0][1] != b"P6":
-        raise FormatError(f"not a P6 PPM: {fields[0][1]!r}", offset=0)
-    for start, token in fields[1:]:
-        if not token.isdigit():
-            raise FormatError(f"PPM header field {token!r} is not a number", offset=start)
-    w, h, maxval = (int(token) for _, token in fields[1:])
-    if maxval != 255:
-        raise FormatError(f"only maxval 255 supported, got {maxval}", offset=fields[3][0])
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(raw[pos:], dtype=np.uint8)
-    if pixels.size != 3 * w * h:
-        raise FormatError(f"payload length {pixels.size} != {3 * w * h}", offset=pos)
-    img = pixels.reshape(h, w, 3).transpose(2, 0, 1)[None]
-    return ImageDataset(images=quantize_bits(img, bits), bits=bits)
 
 
 def save_ppm_montage(images: np.ndarray, bits: int, path, cols: int = 8) -> None:

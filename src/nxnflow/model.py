@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze, split_channels, unsplit_channels
 from .tensor import Rng
 
@@ -164,31 +164,40 @@ class MultiScaleModel:
                     out[f"{name}/{pname}"] = arr
         return out
 
-    def buffer_tree(self) -> dict:
-        """Non-learnable state that must survive a checkpoint round trip
-        (the PLU permutation and diagonal signs)."""
-        out = {}
+    def state_tree(self) -> dict:
+        """param_tree() plus each 1x1 convolution's fixed PLU factors ``p``
+        and ``u_sign``: everything a checkpoint carries about the model."""
+        out = self.param_tree()
         for name, layer in self.flow:
             if isinstance(layer, Inv1x1):
                 out[f"{name}/p"] = layer.p
                 out[f"{name}/u_sign"] = layer.u_sign
         return out
 
-    def set_buffers(self, tree: dict) -> None:
-        own = self.buffer_tree()
-        if set(own) != set(tree):
-            raise ConfigError("buffer tree does not match model structure")
+    def set_state(self, tree: dict) -> None:
+        """Copy a saved state tree into the model and mark every actnorm
+        initialized. The names and shapes must be the model's own, each ``p``
+        a 0/1 permutation matrix and each ``u_sign`` entry +-1, or a
+        FormatError names the first bad array before anything is copied."""
+        own = self.state_tree()
+        for name in sorted(own.keys() | tree.keys()):
+            if name not in own or name not in tree:
+                where = "checkpoint" if name in tree else "model"
+                raise FormatError(f"state array {name} exists only in the {where}")
+            arr = tree[name]
+            if arr.shape != own[name].shape:
+                raise FormatError(f"state array {name} has shape {arr.shape}, "
+                                  f"the model's is {own[name].shape}")
+            if name.endswith("/p") and not (((arr == 0) | (arr == 1)).all()
+                                            and (arr.sum(0) == 1).all() and (arr.sum(1) == 1).all()):
+                raise FormatError(f"state array {name} is not a permutation matrix")
+            if name.endswith("/u_sign") and not (np.abs(arr) == 1).all():
+                raise FormatError(f"state array {name} has an entry other than +1 or -1")
         for name, arr in own.items():
             arr[...] = tree[name]
-
-    def set_params(self, tree: dict) -> None:
-        own = self.param_tree()
-        if set(own) != set(tree):
-            raise ConfigError("parameter tree does not match model structure")
-        for name, arr in own.items():
-            if arr.shape != tree[name].shape:
-                raise ConfigError(f"parameter {name} shape mismatch")
-            arr[...] = tree[name]
+        for steps in self.steps:
+            for step in steps:
+                step.actnorm.initialized = True
 
     def init_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent actnorm init, layer by layer along the flow."""

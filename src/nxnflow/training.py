@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -133,9 +134,9 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     `data` is integer-valued NCHW for image mode (dequantized per batch) or
     float N x D for rank-2 mode. `on_checkpoint(step, opt, rng_states)` is
     called on the configured cadence and after the final step. `resume` is
-    an optional (step, adam, rngs) tuple restored from a checkpoint, where
-    rngs maps "dequantize" and "batches" to their Rng streams: actnorm init
-    is skipped and step numbering continues.
+    an optional loaded checkpoint whose state tree the model already holds:
+    its step, Adam state and "dequantize"/"batches" RNG streams continue the
+    run, and actnorm init is skipped. A NumericError names the step.
     """
     image_mode = model.config.mode == "image"
     n = data.shape[0]
@@ -149,8 +150,14 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
         batch_rng = rng.child("batches")
         start_step = 0
     else:
-        start_step, adam_state, rngs = resume
-        deq_rng, batch_rng = rngs["dequantize"], rngs["batches"]
+        if resume.adam_t is None:
+            raise ConfigError("checkpoint has no optimizer state; cannot resume")
+        try:
+            states = json.loads(resume.rng_state)
+            deq_rng, batch_rng = (Rng.from_state_json(states[k]) for k in ("dequantize", "batches"))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise FormatError(f"checkpoint rng state is not a training stream state: {e!r}") from None
+        start_step = resume.step
 
     def get_batch():
         idx = batch_rng.integers(0, n, (cfg.batch_size,))
@@ -164,16 +171,19 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     params = model.param_tree()  # live arrays, updated in place by every step
     opt = Adam(params, cfg.lr)
     if resume is not None:
-        opt.load_state(adam_state["t"], adam_state["m"], adam_state["v"])
+        opt.load_state(resume.adam_t, resume.adam_m, resume.adam_v)
 
     metrics = []
     t0 = time.monotonic()
     for step in range(start_step + 1, start_step + cfg.steps + 1):
         batch = get_batch()
-        loss, grads, _ = model.loss_and_grads(batch)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite loss at step {step}; aborting")
-        g = opt.gather(grads)
+        try:
+            loss, grads, _ = model.loss_and_grads(batch)
+            if not math.isfinite(loss):
+                raise NumericError("non-finite loss; aborting")
+            g = opt.gather(grads)
+        except NumericError as e:
+            raise NumericError(f"step {step}: {e}") from None
         del grads  # the flat copy is all the update needs
         gnorm = clip_global_norm(g, CLIP_NORM)
         opt.step(params, g)

@@ -151,10 +151,6 @@ class RoundTripReport:
     max_reconstruction: float
     max_logdet_asymmetry: float
 
-    def passed(self, recon_tol: float, logdet_tol: float = 1e-10) -> bool:
-        return (self.max_reconstruction <= recon_tol
-                and self.max_logdet_asymmetry <= logdet_tol)
-
 
 def roundtrip_suite(make_layer, make_input, trials: int, rng: Rng) -> RoundTripReport:
     """For each trial, build a fresh layer and input, then measure

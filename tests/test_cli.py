@@ -116,8 +116,8 @@ class TestCheckpointFormat:
             config_text=model.config.to_text(), step=7,
             params=ckpt_io.snapshot_params(model),
             adam_t=3,
-            adam_m={k: np.zeros_like(v) for k, v in model.param_tree().items()},
-            adam_v={k: np.ones_like(v) for k, v in model.param_tree().items()},
+            adam_m={k: Rng(2).normal(v.shape) for k, v in model.param_tree().items()},
+            adam_v={k: Rng(3).uniform(v.shape) for k, v in model.param_tree().items()},
             rng_state=Rng(1).state_json())
         p = tmp_path / "m.nxnf"
         ckpt_io.save(ck, p)
@@ -126,8 +126,11 @@ class TestCheckpointFormat:
         ckpt_io.save(loaded, p)
         assert p.read_bytes() == raw1
         assert loaded.step == 7 and loaded.adam_t == 3
-        for k, v in ck.params.items():
-            np.testing.assert_array_equal(loaded.params[k], v)
+        for saved, back in ((ck.params, loaded.params), (ck.adam_m, loaded.adam_m),
+                            (ck.adam_v, loaded.adam_v)):
+            assert back.keys() == saved.keys()
+            for k, v in saved.items():
+                np.testing.assert_array_equal(back[k], v)
 
     def test_mismatched_config_refused(self, tmp_path):
         model = random_small_model(Rng(0))
@@ -139,7 +142,7 @@ class TestCheckpointFormat:
         with pytest.raises(ConfigError):
             ckpt_io.restore_model(ck, other)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_refused(self, tmp_path, capsys, version):
         raw = bytearray(ckpt_io.serialize(untrained_checkpoint(random_small_model(Rng(0)))))
         raw[4:8] = version.to_bytes(4, "little")
@@ -150,6 +153,49 @@ class TestCheckpointFormat:
         p.write_bytes(bytes(raw))
         assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_moments_without_optimizer_flag_names_offset(self, tmp_path, capsys):
+        raw = bytearray(trained_checkpoint_bytes())
+        ck = ckpt_io.deserialize(bytes(raw))
+        assert ck.adam_m and ck.adam_v
+        at = len(raw) - len(ck.rng_state.encode()) - 4 - 8 - 1  # flag, t, rng length
+        assert raw[at] == 1
+        raw[at] = 0
+        with pytest.raises(FormatError, match="optimizer flag") as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == at
+        p = tmp_path / "bad.nxnf"
+        p.write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"offset {at}" in err[0]
+
+    @pytest.mark.parametrize("name, value", [
+        ("level0/step0/mix/p", np.ones(1)),
+        ("level0/step0/mix/p", np.eye(2)[None]),
+        ("level0/step0/mix/p", 3 * np.eye(2)),
+        ("level0/step1/mix/p", np.array([[1.0, 0.0], [1.0, 0.0]])),
+        ("level0/step0/mix/u_sign", np.zeros(2)),
+        ("level0/step1/mix/u_sign", np.array([1.0, np.nan])),
+        ("level0/step0/coupling/net/conv0/w", np.zeros(3)),
+        ("level0/step0/shift/bias", None),
+        ("level0/step7/shift/bias", np.zeros(2)),
+    ], ids=["p_shape_1", "p_rank_3", "p_3I", "p_repeated_row", "u_sign_0", "u_sign_nan",
+            "param_shape", "missing", "unknown"])
+    def test_corrupt_state_tree_exit_code(self, tmp_path, capsys, name, value):
+        model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                        hidden_width=8), 0)
+        ck = untrained_checkpoint(model)
+        if value is None:
+            del ck.params[name]
+        else:
+            ck.params[name] = value
+        p = tmp_path / "bad.nxnf"
+        ckpt_io.save(ck, p)
+        assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians",
+                     "--n", "64"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0]
 
     @pytest.mark.parametrize("field", ["config echo", "array name", "rng state"])
     def test_non_utf8_text_names_offset(self, tmp_path, capsys, field):
@@ -287,6 +333,28 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(bad)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "rng state" in err[0]
+
+    @pytest.mark.parametrize("edit, code", [("rng_state", 3), ("no_optimizer", 2),
+                                            ("drop_moment", 3)])
+    def test_refused_resume_keeps_metrics(self, tmp_path, edit, code):
+        # steps 1-3 are logged, then a resume from a broken step-2 checkpoint is refused
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", "train.steps=2", "--out", str(out)]) == 0
+        ck = ckpt_io.load(out / "checkpoint.nxnf")
+        assert main(["train", "--config", cfg, "--set", "train.steps=1", "--out", str(out),
+                     "--resume", str(out / "checkpoint.nxnf")]) == 0
+        logged = (out / "metrics.csv").read_text()
+        if edit == "rng_state":
+            ck.rng_state = "not json"
+        elif edit == "no_optimizer":
+            ck.adam_t = None
+        else:
+            del ck.adam_m["level0/step0/actnorm/bias"]
+        bad = tmp_path / "bad.nxnf"
+        ckpt_io.save(ck, bad)
+        assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(bad)]) == code
+        assert (out / "metrics.csv").read_text() == logged
 
     def test_resume_is_bit_exact(self, tmp_path):
         cfg = write_cfg(tmp_path, RANK2_CFG)

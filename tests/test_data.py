@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from nxnflow.data import (Dataset2D, ImageDataset, gen_2d, gen_textures, import_ppm,
-                          load_images, load_points_csv, quantize_bits, save_images,
-                          save_points_csv, save_ppm_montage)
+from nxnflow.data import (Dataset2D, ImageDataset, gen_2d, gen_textures, load_images,
+                          load_points_csv, save_images, save_points_csv, save_ppm_montage)
 from nxnflow.errors import ConfigError, DataError, FormatError
 from nxnflow.tensor import Rng
 
@@ -41,33 +38,6 @@ class TestGen2D:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             gen_2d("spiral", 10, Rng(0))
-
-
-class TestQuantizeBits:
-    def test_identity_at_8(self):
-        x = np.arange(256, dtype=np.uint8)
-        np.testing.assert_array_equal(quantize_bits(x, 8), x)
-
-    def test_hand_values(self):
-        assert quantize_bits(np.array([255]), 5)[0] == 31
-        assert quantize_bits(np.array([7]), 5)[0] == 0
-
-    def test_bits_out_of_range(self):
-        with pytest.raises(ConfigError):
-            quantize_bits(np.array([1]), 0)
-        with pytest.raises(ConfigError):
-            quantize_bits(np.array([1]), 9)
-
-    @given(st.integers(1, 8), st.lists(st.integers(0, 255), min_size=2, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_and_idempotent(self, bits, values):
-        v = np.array(sorted(values))
-        q = quantize_bits(v, bits)
-        assert np.all(np.diff(q.astype(int)) >= 0)
-        assert np.all(q < (1 << bits))
-        # re-quantizing the up-shifted result at the same depth is a fixed point
-        back = (q.astype(np.uint16) << (8 - bits)).astype(np.uint8)
-        np.testing.assert_array_equal(quantize_bits(back, bits), q)
 
 
 class TestNxniFormat:
@@ -146,34 +116,12 @@ class TestTextures:
 
 
 class TestPpm:
-    def test_import(self, tmp_path):
-        p = tmp_path / "img.ppm"
-        pixels = Rng(0).integers(0, 256, (4, 5, 3)).astype(np.uint8)
-        p.write_bytes(b"P6\n# comment\n5 4\n255\n" + pixels.tobytes())
-        ds = import_ppm(p, bits=8)
-        assert ds.images.shape == (1, 3, 4, 5)
-        np.testing.assert_array_equal(ds.images[0], pixels.transpose(2, 0, 1))
-
     def test_montage_roundtrip_header(self, tmp_path):
         imgs = Rng(1).integers(0, 32, (4, 3, 8, 8)).astype(np.uint8)
         p = tmp_path / "grid.ppm"
         save_ppm_montage(imgs, 5, p, cols=2)
         raw = p.read_bytes()
         assert raw.startswith(b"P6\n16 16\n255\n")
-
-    @pytest.mark.parametrize("raw, offset", [(b"P6\n4", 4), (b"P6\n4 x\n255\n", 5)])
-    def test_malformed_header_names_offset(self, tmp_path, raw, offset):
-        p = tmp_path / "x.ppm"
-        p.write_bytes(raw)
-        with pytest.raises(FormatError) as e:
-            import_ppm(p)
-        assert e.value.offset == offset
-
-    def test_reject_non_p6(self, tmp_path):
-        p = tmp_path / "x.ppm"
-        p.write_bytes(b"P3\n1 1\n255\n0 0 0\n")
-        with pytest.raises(FormatError):
-            import_ppm(p)
 
 
 class TestCsv:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nxnflow.errors import ConfigError, NumericError, ShapeError
+from nxnflow.errors import ConfigError, FormatError, NumericError, ShapeError
 from nxnflow.layers import squeeze2x2
 from nxnflow.model import (ModelConfig, MultiScaleModel, bits_per_dim, standard_normal_logp)
 from nxnflow.suites import random_small_model
@@ -85,6 +85,31 @@ class TestForwardInverse:
             model.forward(np.zeros((1, 3, 4, 4)))
         with pytest.raises(ShapeError):
             model.inverse([np.zeros((1, 5, 1, 1))])
+
+
+class TestStateTree:
+    def test_set_state_copies_and_initializes(self):
+        src, dst = random_small_model(Rng(20)), random_small_model(Rng(21))
+        for step in dst.steps[0]:
+            step.actnorm.initialized = False
+        dst.set_state({k: v.copy() for k, v in src.state_tree().items()})
+        assert dst.state_tree().keys() == src.state_tree().keys()
+        for k, v in src.state_tree().items():
+            np.testing.assert_array_equal(dst.state_tree()[k], v, err_msg=k)
+        assert all(step.actnorm.initialized for steps in dst.steps for step in steps)
+
+    def test_set_state_refuses_before_copying(self):
+        src, dst = random_small_model(Rng(20)), random_small_model(Rng(21))
+        tree = {k: v.copy() for k, v in src.state_tree().items()}
+        last = max(k for k in tree if k.endswith("/u_sign"))
+        tree[last][0] = 0.0
+        before = {k: v.copy() for k, v in dst.state_tree().items()}
+        # arrays that sort before the bad one would change if copied
+        assert any(not np.array_equal(tree[k], before[k]) for k in tree if k < last)
+        with pytest.raises(FormatError, match=last):
+            dst.set_state(tree)
+        for k, v in before.items():
+            np.testing.assert_array_equal(dst.state_tree()[k], v, err_msg=k)
 
 
 class TestRank2PublicShapes:

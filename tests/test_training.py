@@ -191,6 +191,15 @@ class TestTrainLoop:
         assert len(row) == 5
         assert int(row[0]) == 1
 
+    def test_failure_names_step_and_layer(self):
+        model, pts, tc = self.make_2d(steps=2)
+        model.steps[0][0].shift.log_scale[:] = 1e3  # exp overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as e:
+                train(model, pts, tc)
+        msg = str(e.value)
+        assert msg.startswith("step 1: ") and "level0/step0/shift" in msg and "\n" not in msg
+
     def test_empty_dataset_rejected(self):
         model, _, tc = self.make_2d()
         with pytest.raises(DataError):
