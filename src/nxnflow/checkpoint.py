@@ -97,12 +97,15 @@ class _Reader:
         self.raw = raw
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past the next n bytes; returns the offset they start at."""
         if self.pos + n > len(self.raw):
             raise FormatError(f"truncated checkpoint, wanted {n} bytes", offset=self.pos)
-        out = self.raw[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.raw[self.skip(n):self.pos]
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -141,7 +144,7 @@ def deserialize(raw: bytes) -> Checkpoint:
         if 8 * math.prod(e for e in shape if e) > MAX_BYTES:
             raise FormatError(f"array shape {shape} is too large", offset=rank_at)
         size = math.prod(shape)
-        arr = np.frombuffer(r.take(8 * size), dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(raw, "<f8", size, r.skip(8 * size)).reshape(shape).copy()
         moments = moment_trees.get(name[:7])
         if moments is None:
             params[name] = arr

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateChannelError, ShapeError, StateError
-from .tensor import Rng, channel_affine, channel_matmul, channel_outer, lu_factor, nchw
+from .tensor import Rng, _row_product, channel_affine, channel_matmul, channel_outer, lu_factor, nchw
 
 
 class ChannelAffine:
@@ -161,7 +161,7 @@ class Inv1x1:
 def _patches(x: np.ndarray, k: int) -> np.ndarray:
     """N x C x H x W -> N x H*W x k*k*C: row i*W + j holds the zero-padded
     k x k neighbourhood of pixel (i, j), ordered (row tap, column tap,
-    channel) like the kernel rows of ``Conv2d._apply``. Each tap's C
+    channel) like the kernel columns of ``Conv2d._apply``. Each tap's C
     channels are contiguous, so the one copy that builds the matrix moves
     runs of C doubles. For k = 1 this is a transposed view of x, no copy."""
     n, c, h, w = nchw(x)
@@ -177,8 +177,9 @@ def _patches(x: np.ndarray, k: int) -> np.ndarray:
 class Conv2d:
     """Plain 3x3 / 1x1 convolution with zero padding, manual adjoint.
 
-    Forward is one stacked product per sample, kernel rows times the
-    transposed H*W x k*k*C_in patch matrix, which lands directly in NCHW.
+    Forward is one product of pixel rows: the N*H*W x k*k*C_in patch
+    matrix times the kernel as k*k*C_in x C_out columns, in one-thread
+    blocks (see ``tensor._row_product``); the output is an NCHW view of it.
     The weight gradient contracts dy with the patches over batch and pixels.
     The stride-1 same-padding adjoint is the same convolution of dy with the
     flipped, channel-transposed kernel. The cache holds only the input, and
@@ -197,11 +198,11 @@ class Conv2d:
 
     def _apply(self, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
         """x convolved with a C_out x C_in x k x k kernel, without bias. The
-        kernel becomes C_out x k*k*C_in rows in the patch column order."""
+        kernel becomes k*k*C_in x C_out columns in the patch column order."""
         n, _, h, w = nchw(x)
-        rows = kernel.transpose(0, 2, 3, 1).reshape(kernel.shape[0], -1)
-        return (rows @ _patches(x, self.kernel).transpose(0, 2, 1)).reshape(
-            n, kernel.shape[0], h, w)
+        cols = kernel.transpose(2, 3, 1, 0).reshape(-1, kernel.shape[0])
+        y = _row_product(_patches(x, self.kernel).reshape(n * h * w, cols.shape[0]), cols)
+        return y.reshape(n, h, w, cols.shape[1]).transpose(0, 3, 1, 2)
 
     def forward(self, x):
         y = self._apply(self.w, x)
@@ -247,7 +248,7 @@ class ConditionerNet:
             h, c = layer.forward(h)
             mask = h > 0 if i < len(self.layers) - 1 else None  # relu after all but the last
             if mask is not None:
-                h = h * mask
+                h *= mask
             caches.append((c, mask))
         return h, caches
 

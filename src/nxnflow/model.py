@@ -241,7 +241,7 @@ class MultiScaleModel:
                 cache = None
             else:
                 h, ld, cache = layer.forward(h)
-                if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
+                if not np.isfinite(h).all() or not np.isfinite(ld).all():
                     raise NumericError(f"non-finite activation at {name}")
                 logdet += ld
             if tape is not None:
@@ -276,7 +276,7 @@ class MultiScaleModel:
                 h = unsplit_channels(h, parts.pop())
                 continue
             h = layer.inverse(h)
-            if not np.all(np.isfinite(h)):
+            if not np.isfinite(h).all():
                 raise NumericError(f"non-finite activation at {name}")
         return self._from_flow(h)
 

@@ -1,9 +1,10 @@
 """Minimal dense tensor kernels in float64.
 
 Tensors are plain ``numpy.ndarray`` values in one layout: rank-4
-batch-major NCHW (batch, channel, row, column). Every channel product is a
-batched matrix product over the H*W pixels of each sample. All math is done
-in 64-bit floats so the finite-difference oracles have headroom.
+batch-major NCHW (batch, channel, row, column). Every channel product is
+an N*H*W x C_in by C_in x C_out product of pixel rows in one-thread blocks,
+viewed as NCHW. All math is done in 64-bit floats so the finite-difference
+oracles have headroom.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .errors import ShapeError
 
 # Relative pivot tolerance below which an LU pivot is treated as zero.
 PIVOT_TOL = 1e-12
+# OpenBLAS runs a dgemm of at most this many multiply-adds (m*n*k) on one
+# thread; a larger one wakes its worker pool, which keeps spinning after the call.
+ONE_THREAD_MNK = 1 << 18
 
 
 def nchw(x: np.ndarray) -> tuple[int, int, int, int]:
@@ -38,15 +42,32 @@ def channel_affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.nda
     return scale[None, :, None, None] * x + bias[None, :, None, None]
 
 
+def _row_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ cols (M x K times K x D) as stacked products of row blocks of
+    at most ONE_THREAD_MNK multiply-adds each, then one for the rest."""
+    (m, k), d = rows.shape, cols.shape[1]
+    out = np.empty((m, d))
+    block = max(1, ONE_THREAD_MNK // max(1, k * d))
+    whole = m - m % block
+    if whole:
+        np.matmul(rows[:whole].reshape(-1, block, k), cols,
+                  out=out[:whole].reshape(-1, block, d))
+    if whole < m:
+        np.matmul(rows[whole:], cols, out=out[whole:])
+    return out
+
+
 def channel_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the C_out x C_in matrix w to the channel fiber at every pixel."""
+    """Apply the C_out x C_in matrix w to the channel fiber at every pixel.
+    The result is an NCHW view of channels-last memory."""
     w = np.asarray(w, dtype=np.float64)
     n, c, h, wd = nchw(x)
     if w.ndim != 2:
         raise ShapeError(f"w must be a matrix, got rank {w.ndim}")
     if w.shape[1] != c:
         raise ShapeError(f"w has {w.shape[1]} columns but x has {c} channels")
-    return (w @ x.reshape(n, c, h * wd)).reshape(n, w.shape[0], h, wd)
+    y = _row_product(x.transpose(0, 2, 3, 1).reshape(-1, c), w.T)
+    return y.reshape(n, h, wd, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 def channel_outer(dy: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -86,21 +86,26 @@ class Adam:
             self.v[k][...] = v[k]
 
     def step(self, params: dict, g: np.ndarray) -> None:
-        """One update from the flat gradient vector ``g`` (see ``gather``);
-        each parameter array in ``params`` is updated in place."""
+        """One update from the flat gradient vector ``g`` (see ``gather``),
+        which is consumed: it is overwritten with the update. Each parameter
+        array in ``params`` is updated in place."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         m, v = self._m, self._v
-        # b1*m + (1-b1)*g and b2*v + ((1-b2)*g)*g in the per-array formula's order
+        tmp = np.empty_like(g)
+        # b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and lr*(m/bc1)/(sqrt(v/bc2)+eps)
+        # in the per-array formula's order, written into g and one scratch vector
         m *= BETA1
-        m += (1 - BETA1) * g
+        m += np.multiply(1 - BETA1, g, out=tmp)
         v *= BETA2
-        v += (1 - BETA2) * g * g
-        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        v += np.multiply(np.multiply(1 - BETA2, g, out=tmp), g, out=tmp)
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        g /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), EPS, out=tmp)
         for k, s in self.slices.items():
             p = params[k]
-            p -= update[s].reshape(p.shape)
+            p -= g[s].reshape(p.shape)
 
 
 def clip_global_norm(g: np.ndarray, max_norm: float) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nxnflow import tensor
 from nxnflow.errors import DegenerateChannelError, ShapeError, StateError
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,6 +277,31 @@ class TestConv2d:
         assert float((conv.w * gw).sum()) == pytest.approx(inner, rel=1e-12)
         np.testing.assert_allclose(gb, dy.sum(axis=(0, 2, 3)))
 
+    # (c, d, n, h, w, ONE_THREAD_MNK) whose n*h*w pixel rows split into at
+    # least two one-thread blocks plus a remainder: 28-row blocks and 19 rows
+    # left at the default limit, 16-row blocks and 8 left at a patched one
+    BLOCKED = [(32, 32, 3, 5, 5, tensor.ONE_THREAD_MNK), (2, 3, 2, 5, 4, 16 * 54)]
+
+    @pytest.mark.parametrize("c, d, n, h, w, mnk", BLOCKED)
+    def test_blocked_products(self, c, d, n, h, w, mnk, monkeypatch):
+        block = mnk // (9 * c * d)
+        assert n * h * w // block >= 2 and n * h * w % block
+        monkeypatch.setattr(tensor, "ONE_THREAD_MNK", mnk)
+        rng = Rng(c)
+        conv = Conv2d(c, d, 3, rng.child("w"))
+        conv.b = rng.normal((d,))
+        x = rng.normal((n, c, h, w))
+        dy = rng.normal((n, d, h, w))
+        y, cache = conv.forward(x)
+        spec = conv_spec(conv)
+        for i in range(n):
+            ref = direct_convolution(spec, x[i]) + conv.b[:, None, None]
+            np.testing.assert_allclose(y[i], ref, rtol=0, atol=1e-12)
+        dx, gw, _ = conv.backward(dy, cache)
+        inner = float(((y - conv.b[None, :, None, None]) * dy).sum())
+        assert float((x * dx).sum()) == pytest.approx(inner, rel=1e-12)
+        assert float((conv.w * gw).sum()) == pytest.approx(inner, rel=1e-12)
+
     def test_backward_matches_finite_differences(self):
         # every entry of gw and dx, on a non-square grid with c != d, so a
         # tap or channel mix-up in the patch columns cannot cancel out
@@ -294,6 +320,11 @@ class TestConv2d:
         params = {"w": conv.w, "b": conv.b}
         assert check_param_gradients(lambda: loss_at(x), params, analytic) < 1e-5
         assert check_input_gradient(loss_at, x, dx) < 1e-5
+
+    def test_blocked_backward_matches_finite_differences(self, monkeypatch):
+        # the same 40 pixel rows as two 16-row blocks and a remainder of 8
+        monkeypatch.setattr(tensor, "ONE_THREAD_MNK", 16 * 54)
+        self.test_backward_matches_finite_differences()
 
 
 class TestSqueezeSplit:

@@ -1,11 +1,15 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from nxnflow.errors import ConfigError, FormatError, NumericError, ShapeError
 from nxnflow.layers import squeeze2x2
-from nxnflow.model import (ModelConfig, MultiScaleModel, bits_per_dim, standard_normal_logp)
+from nxnflow.model import (ModelConfig, MultiScaleModel, bits_per_dim, build_model,
+                           standard_normal_logp)
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
 
@@ -213,6 +217,47 @@ class TestSampling:
         model = random_small_model(Rng(15))
         with pytest.raises(ConfigError):
             model.sample(1, 0.0, Rng(0))
+
+
+def other_threads_cpu_ticks() -> int:
+    """utime + stime, in clock ticks, of every thread of this process but
+    the calling one: OpenBLAS's workers, when it has woken them."""
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == threading.get_native_id():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread has exited
+            continue
+        total += int(fields[11]) + int(fields[12])  # stat fields 14 and 15
+    return total
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_serve_path_stays_on_one_thread():
+    # log_prob and sample of the two benchmark configs wake no BLAS worker:
+    # every channel product is issued in one-thread blocks
+    rank2 = build_model(ModelConfig(mode="rank2", dim=2, depth_k=8, levels=1, hidden_width=32), 0)
+    image = build_model(ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8,
+                                    levels=2, hidden_width=32, bits=5), 0)
+    x2 = Rng(1).normal((1024, 2))
+    xi = Rng(2).uniform((256, 3, 8, 8))
+    rank2.init_actnorms(x2)
+    image.init_actnorms(xi[:64])
+
+    def serve():
+        rank2.log_prob(x2)
+        rank2.sample(1024, 1.0, Rng(3))
+        image.log_prob(xi)
+        image.sample(256, 0.7, Rng(4))
+
+    serve()
+    time.sleep(0.3)  # let workers woken before this test go idle
+    before = other_threads_cpu_ticks()
+    serve()
+    assert other_threads_cpu_ticks() - before <= 1
 
 
 class TestBitsPerDim:

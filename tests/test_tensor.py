@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nxnflow.errors import ShapeError
-from nxnflow.tensor import Rng, channel_affine, channel_matmul, channel_outer, lu_slogdet
+from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _row_product, channel_affine, channel_matmul,
+                            channel_outer, lu_slogdet)
 
 
 def brute_force_det(a):
@@ -96,6 +97,14 @@ class TestChannelMatmul:
         ref = np.einsum("dc,nchw->ndhw", w, x)
         np.testing.assert_allclose(channel_matmul(w, x), ref, rtol=0, atol=1e-12)
 
+    def test_channels_last_input(self):
+        rng = Rng(6)
+        w = rng.normal((4, 3))
+        x = rng.normal((2, 2, 5, 3)).transpose(0, 3, 1, 2)  # NCHW view of NHWC memory
+        assert not x.flags.c_contiguous
+        ref = np.einsum("dc,nchw->ndhw", w, x)
+        np.testing.assert_allclose(channel_matmul(w, x), ref, rtol=0, atol=1e-12)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_composition(self, seed):
@@ -106,6 +115,30 @@ class TestChannelMatmul:
         lhs = channel_matmul(a, channel_matmul(b, x))
         rhs = channel_matmul(a @ b, x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+class TestRowProduct:
+    # a 3x3 conv's 288 x 32 kernel columns: blocks of 28 pixel rows
+    K, D, BLOCK = 288, 32, ONE_THREAD_MNK // (288 * 32)
+
+    @pytest.mark.parametrize("m", [0, BLOCK - 9, 3 * BLOCK, 3 * BLOCK + 11])
+    def test_one_thread_blocks(self, m, monkeypatch):
+        sizes = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        rng = Rng(m)
+        rows, cols = rng.normal((m, self.K)), rng.normal((self.K, self.D))
+        out = _row_product(rows, cols)
+        ref = rows @ cols
+        assert out.shape == (m, self.D)
+        assert np.max(np.abs(out - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+        assert len(sizes) == (m >= self.BLOCK) + (m % self.BLOCK > 0)
+        assert all(size <= ONE_THREAD_MNK for size in sizes)
 
 
 class TestChannelOuter:
