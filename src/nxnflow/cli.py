@@ -30,9 +30,9 @@ def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.nd
     rng = Rng(seed).child("data")
     if model_cfg.mode == "rank2":
         if kind in data_io.GENERATORS_2D:
-            return data_io.gen_2d(kind, run["data.n"], rng).points
+            return _checked_points(data_io.gen_2d(kind, run["data.n"], rng).points, kind, model_cfg)
         if kind == "csv":
-            return _load_points(run["data.path"], model_cfg)
+            return _checked_points(data_io.load_points_csv(run["data.path"]), kind, model_cfg)
         raise ConfigError(f"data.kind {kind!r} is not valid for rank2 mode")
     if kind == "textures":
         if model_cfg.height != model_cfg.width:
@@ -48,10 +48,9 @@ def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.nd
     return _checked_images(ds, model_cfg)
 
 
-def _load_points(path, model_cfg: ModelConfig) -> np.ndarray:
-    pts = data_io.load_points_csv(path)
+def _checked_points(pts: np.ndarray, kind: str, model_cfg: ModelConfig) -> np.ndarray:
     if pts.shape[1] != model_cfg.dim:
-        raise ConfigError(f"csv dimension {pts.shape[1]} != model dim {model_cfg.dim}")
+        raise ConfigError(f"{kind} dimension {pts.shape[1]} != model dim {model_cfg.dim}")
     return pts
 
 
@@ -96,7 +95,6 @@ def cmd_train(args) -> int:
     model_cfg = run.model_config()
     train_cfg = run.train_config()
     data = _load_train_data(run, model_cfg, train_cfg.seed)
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.nxnf")
     metrics_path = os.path.join(args.out, "metrics.csv")
 
@@ -121,10 +119,12 @@ def cmd_train(args) -> int:
     f = None
 
     def log(row):
-        # train() checks the resume state before its first step, so the log
-        # is cut back only once a step has run and a refused resume keeps it
+        # train() checks the model and the resume state before its first
+        # step, so the output directory is made and the log cut back only
+        # once a step has run, and a refused run leaves both as they were
         nonlocal f
         if f is None:
+            os.makedirs(args.out, exist_ok=True)
             ckpt_io.write_atomic(metrics_path, "".join(r + "\n" for r in kept).encode())
             f = open(metrics_path, "a", encoding="utf-8")
         f.write(row.csv() + "\n")
@@ -150,8 +150,9 @@ def _model_from_checkpoint(path):
 def _load_eval_data(spec: str, model_cfg: ModelConfig, seed: int, n: int):
     if model_cfg.mode == "rank2":
         if spec in data_io.GENERATORS_2D:
-            return data_io.gen_2d(spec, n, Rng(seed).child("data")).points
-        return _load_points(spec, model_cfg)
+            return _checked_points(data_io.gen_2d(spec, n, Rng(seed).child("data")).points,
+                                   spec, model_cfg)
+        return _checked_points(data_io.load_points_csv(spec), "csv", model_cfg)
     if spec == "textures":
         return data_io.gen_textures(n, model_cfg.channels, model_cfg.height,
                                     model_cfg.bits, Rng(seed).child("data")).images

@@ -66,8 +66,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(parse_kv_lines(f.read()))
+        with open(path, "rb") as f:
+            raw = f.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 at byte offset {e.start}") from None
+        return cls(parse_kv_lines(text))
 
     def __getitem__(self, key):
         if key not in KNOWN_KEYS:

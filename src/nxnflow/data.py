@@ -177,6 +177,8 @@ def load_points_csv(path) -> np.ndarray:
             row = [float(v) for v in line.split(",")]
         except ValueError:
             raise DataError(f"{path} line {lineno}: not a number: {line!r}")
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path} line {lineno}: not a finite number: {line!r}")
         if rows and len(row) != len(rows[0]):
             raise DataError(f"{path} line {lineno}: {len(row)} columns, "
                             f"expected {len(rows[0])}")

@@ -12,8 +12,10 @@ points as N x D x 1 x 1, so no layer knows a second layout. A rank-2 array
 passed straight to a layer is a ShapeError.
 
 The invertible n x n convolution is a ChannelAffine shift followed by an
-Inv1x1 mix. Per-channel scales are stored as logs, so they stay strictly
-positive and an identity initialization is a zero log.
+Inv1x1 mix. The mix and the conditioner's Conv2d run one kernel pair,
+``tensor.conv`` and ``tensor.conv_backward``; the mix passes its C x C
+matrix as a C x C x 1 x 1 kernel. Per-channel scales are stored as logs,
+so they stay strictly positive and an identity initialization is a zero log.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateChannelError, ShapeError, StateError
-from .tensor import Rng, _row_product, channel_affine, channel_matmul, channel_outer, lu_factor, nchw
+from .tensor import Rng, conv, conv_backward, lu_factor, nchw
 
 
 class ChannelAffine:
@@ -67,14 +68,15 @@ class ChannelAffine:
         if not self.initialized:
             raise StateError("channel affine layer used before init_from_batch")
         n, _, h, w = nchw(x)
-        y = channel_affine(x, np.exp(self.log_scale), self.bias)
+        y = np.exp(self.log_scale)[None, :, None, None] * x + self.bias[None, :, None, None]
         return y, np.full(n, h * w * self.log_scale.sum()), {"x": x}
 
     def inverse(self, y):
         if not self.initialized:
             raise StateError("channel affine layer used before init_from_batch")
+        nchw(y)
         scale = np.exp(self.log_scale)
-        return channel_affine(y, 1.0 / scale, -self.bias / scale)
+        return (1.0 / scale)[None, :, None, None] * y + (-self.bias / scale)[None, :, None, None]
 
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
@@ -133,21 +135,21 @@ class Inv1x1:
     def forward(self, x):
         n, _, h, w = nchw(x)
         logdet = np.full(n, h * w * float(self.log_u_diag.sum()))
-        return channel_matmul(self.matrix, x), logdet, {"x": x}
+        return conv(x, self.matrix[:, :, None, None]), logdet, {"x": x}
 
     def inverse(self, y):
         # The C x C inverse, then the forward's channel product. A triangular
         # solve over all N*H*W fibers runs OpenBLAS's multi-threaded trsm even
         # for a 2 x 2 matrix, and its woken worker keeps spinning on another
         # CPU after the call returns.
-        return channel_matmul(np.linalg.inv(self.matrix), y)
+        return conv(y, np.linalg.inv(self.matrix)[:, :, None, None])
 
     def backward(self, dy, dlogdet, cache):
         x = cache["x"]
-        gw = channel_outer(dy, x)
         ld = x.shape[2] * x.shape[3] * dlogdet.sum()
         lower, upper = self._triangles()
-        dx = channel_matmul((self.p @ lower @ upper).T, dy)
+        dx, gw = conv_backward(dy, x, (self.p @ lower @ upper)[:, :, None, None])
+        gw = gw[:, :, 0, 0]
         g_lower = self.p.T @ gw @ upper.T
         g_upper = lower.T @ self.p.T @ gw
         g_log_u = np.diag(g_upper) * self.u_sign * np.exp(self.log_u_diag) + ld
@@ -158,37 +160,17 @@ class Inv1x1:
         }
 
 
-def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """N x C x H x W -> N x H*W x k*k*C: row i*W + j holds the zero-padded
-    k x k neighbourhood of pixel (i, j), ordered (row tap, column tap,
-    channel) like the kernel columns of ``Conv2d._apply``. Each tap's C
-    channels are contiguous, so the one copy that builds the matrix moves
-    runs of C doubles. For k = 1 this is a transposed view of x, no copy."""
-    n, c, h, w = nchw(x)
-    if k == 1:
-        return x.reshape(n, c, h * w).transpose(0, 2, 1)
-    pad = k // 2
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # N x H x W x C x k x k
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h * w, k * k * c)
-
-
 class Conv2d:
-    """Plain 3x3 / 1x1 convolution with zero padding, manual adjoint.
+    """Plain 3x3 / 1x1 convolution with zero padding and a bias.
 
-    Forward is one product of pixel rows: the N*H*W x k*k*C_in patch
-    matrix times the kernel as k*k*C_in x C_out columns, in one-thread
-    blocks (see ``tensor._row_product``); the output is an NCHW view of it.
-    The weight gradient contracts dy with the patches over batch and pixels.
-    The stride-1 same-padding adjoint is the same convolution of dy with the
-    flipped, channel-transposed kernel. The cache holds only the input, and
-    backward rebuilds its patches.
+    Forward and backward are ``tensor.conv`` and ``tensor.conv_backward``,
+    the kernel pair the 1x1 mix runs too: one product of pixel patch rows
+    with the kernel columns in one-thread blocks, viewed as NCHW. The cache
+    holds only the input, and backward rebuilds its patches.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: Rng | None,
                  zero_init: bool = False):
-        self.kernel = kernel
         if zero_init:
             self.w = np.zeros((c_out, c_in, kernel, kernel))
         else:
@@ -196,26 +178,13 @@ class Conv2d:
             self.w = rng.normal((c_out, c_in, kernel, kernel)) * math.sqrt(2.0 / fan_in)
         self.b = np.zeros(c_out)
 
-    def _apply(self, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """x convolved with a C_out x C_in x k x k kernel, without bias. The
-        kernel becomes k*k*C_in x C_out columns in the patch column order."""
-        n, _, h, w = nchw(x)
-        cols = kernel.transpose(2, 3, 1, 0).reshape(-1, kernel.shape[0])
-        y = _row_product(_patches(x, self.kernel).reshape(n * h * w, cols.shape[0]), cols)
-        return y.reshape(n, h, w, cols.shape[1]).transpose(0, 3, 1, 2)
-
     def forward(self, x):
-        y = self._apply(self.w, x)
+        y = conv(x, self.w)
         y += self.b[None, :, None, None]
         return y, {"x": x}
 
     def backward(self, dy, cache):
-        n, c_out, h, w = nchw(dy)
-        k = self.kernel
-        gw = np.tensordot(dy.reshape(n, c_out, h * w), _patches(cache["x"], k),
-                          axes=([0, 2], [0, 1]))
-        gw = gw.reshape(c_out, k, k, -1).transpose(0, 3, 1, 2)
-        dx = self._apply(self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), dy)
+        dx, gw = conv_backward(dy, cache["x"], self.w)
         return dx, gw, dy.sum(axis=(0, 2, 3))
 
 

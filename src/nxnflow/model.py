@@ -43,8 +43,10 @@ class ModelConfig:
     def validate(self):
         if self.mode not in ("image", "rank2"):
             raise ConfigError(f"unknown model mode {self.mode!r}")
-        if self.depth_k < 0 or self.levels < 1 or self.hidden_width < 1:
-            raise ConfigError("depth_k >= 0, levels >= 1, hidden_width >= 1 required")
+        if self.depth_k < 0 or min(self.levels, self.hidden_width, self.channels,
+                                   self.height, self.width) < 1:
+            raise ConfigError("depth_k >= 0 and levels, hidden_width, channels, height, "
+                              "width >= 1 required")
         if self.mode == "image":
             if not (1 <= self.bits <= 8):
                 raise ConfigError("bits must be in [1, 8]")

@@ -12,7 +12,7 @@ import numpy as np
 from . import verify
 from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze
 from .model import ModelConfig, MultiScaleModel
-from .tensor import Rng
+from .tensor import Rng, conv
 from .verify import CheckResult, StandardConvSpec
 
 LAYER_KINDS = ("actnorm", "shift", "inv1x1_plu", "coupling")
@@ -155,9 +155,10 @@ def random_conv_spec(rng: Rng, kernel: int, c: int, d: int) -> StandardConvSpec:
 
 
 def suite_conv_equiv(seed: int, specs: int = 100) -> list[CheckResult]:
-    """Direct sliding-window conv vs shifted-1x1 sum vs fused shared-shift."""
+    """Direct sliding-window conv vs shifted-1x1 sum vs fused shared-shift,
+    and vs ``tensor.conv``, the kernel every channel product in the model runs."""
     rng = Rng(seed).child("conv_equiv")
-    worst = 0.0
+    worst = kernel_worst = 0.0
     for t in range(specs):
         tr = rng.child(f"spec{t}")
         kernel = 1 if int(tr.child("k").integers(0, 2)) == 0 else 3
@@ -174,7 +175,11 @@ def suite_conv_equiv(seed: int, specs: int = 100) -> list[CheckResult]:
             return y[0]
 
         worst = max(worst, verify.conv_reformulation_check(spec, x, shared))
-    return [CheckResult("conv_reformulation", worst <= 1e-12, worst, 1e-12)]
+        taps = spec.taps.reshape(kernel, kernel, d, c).transpose(2, 3, 0, 1)
+        dev = np.abs(conv(x[None], taps)[0] - verify.direct_convolution(spec, x))
+        kernel_worst = max(kernel_worst, float(dev.max()))
+    return [CheckResult("conv_reformulation", worst <= 1e-12, worst, 1e-12),
+            CheckResult("conv_equiv/kernel", kernel_worst <= 1e-12, kernel_worst, 1e-12)]
 
 
 def suite_normalization(seed: int) -> list[CheckResult]:

@@ -1,8 +1,9 @@
 """Minimal dense tensor kernels in float64.
 
 Tensors are plain ``numpy.ndarray`` values in one layout: rank-4
-batch-major NCHW (batch, channel, row, column). Every channel product is
-an N*H*W x C_in by C_in x C_out product of pixel rows in one-thread blocks,
+batch-major NCHW (batch, channel, row, column). Every channel product in
+the model, the 1x1 mix included, is ``conv``: the N*H*W x k*k*C_in patch
+rows times the kernel as k*k*C_in x C_out columns, in one-thread blocks,
 viewed as NCHW. All math is done in 64-bit floats so the finite-difference
 oracles have headroom.
 """
@@ -13,6 +14,7 @@ import hashlib
 import json
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -30,18 +32,6 @@ def nchw(x: np.ndarray) -> tuple[int, int, int, int]:
     return x.shape
 
 
-def channel_affine(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out[n,c,i,j] = scale[c] * x[n,c,i,j] + bias[c]."""
-    scale = np.asarray(scale, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    c = nchw(x)[1]
-    if scale.shape != (c,) or bias.shape != (c,):
-        raise ShapeError(
-            f"scale/bias must have length {c}, got {scale.shape} and {bias.shape}"
-        )
-    return scale[None, :, None, None] * x + bias[None, :, None, None]
-
-
 def _row_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """rows @ cols (M x K times K x D) as stacked products of row blocks of
     at most ONE_THREAD_MNK multiply-adds each, then one for the rest."""
@@ -57,25 +47,46 @@ def _row_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def channel_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the C_out x C_in matrix w to the channel fiber at every pixel.
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """N x C x H x W -> N*H*W x k*k*C: row (n*H + i)*W + j holds the
+    zero-padded k x k neighbourhood of pixel (i, j) of sample n, ordered
+    (row tap, column tap, channel) like the kernel columns of ``conv``. Each
+    tap's C channels are contiguous, so the one copy that builds the matrix
+    moves runs of C doubles. For k = 1 the rows are the pixels' channel
+    fibers, a view when x is channels-last in memory."""
+    n, c, h, w = nchw(x)
+    if k == 1:
+        return x.transpose(0, 2, 3, 1).reshape(-1, c)
+    pad = k // 2
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # N x H x W x C x k x k
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+
+
+def conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """x convolved with a C_out x C_in x k x k kernel (odd k, stride 1, zero
+    padding to the same extents, no bias); a 1x1 kernel is a channel matrix.
     The result is an NCHW view of channels-last memory."""
-    w = np.asarray(w, dtype=np.float64)
-    n, c, h, wd = nchw(x)
-    if w.ndim != 2:
-        raise ShapeError(f"w must be a matrix, got rank {w.ndim}")
-    if w.shape[1] != c:
-        raise ShapeError(f"w has {w.shape[1]} columns but x has {c} channels")
-    y = _row_product(x.transpose(0, 2, 3, 1).reshape(-1, c), w.T)
-    return y.reshape(n, h, wd, w.shape[0]).transpose(0, 3, 1, 2)
+    n, c, h, w = nchw(x)
+    if kernel.ndim != 4 or kernel.shape[1] != c or kernel.shape[2] != kernel.shape[3]:
+        raise ShapeError(f"kernel {kernel.shape} does not fit {c} input channels")
+    d, k = kernel.shape[0], kernel.shape[2]
+    y = _row_product(_patches(x, k), kernel.transpose(2, 3, 1, 0).reshape(-1, d))
+    return y.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
 
-def channel_outer(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum over batch and pixels of dy[n,:,i,j] x[n,:,i,j]^T, a D x C matrix:
-    the gradient of channel_matmul(w, x) with respect to w."""
-    if nchw(dy)[0] != nchw(x)[0] or dy.shape[2:] != x.shape[2:]:
-        raise ShapeError(f"batch and pixel extents differ: {dy.shape} and {x.shape}")
-    return np.tensordot(dy, x, axes=([0, 2, 3], [0, 2, 3]))
+def conv_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray):
+    """(dx, dkernel): the adjoints of conv(x, kernel) for the output
+    gradient dy. dkernel is one product of dy's pixel rows, transposed, with
+    the patch rows; dx is dy convolved with the flipped, channel-transposed
+    kernel."""
+    d, c, k, _ = kernel.shape
+    if nchw(dy)[:2] != (x.shape[0], d) or dy.shape[2:] != x.shape[2:]:
+        raise ShapeError(f"gradient {dy.shape} does not fit input {x.shape}")
+    dkernel = _patches(dy, 1).T @ _patches(x, k)
+    dx = conv(dy, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return dx, dkernel.reshape(d, k, k, c).transpose(0, 3, 1, 2)
 
 
 def lu_factor(a: np.ndarray):

@@ -143,6 +143,8 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     its step, Adam state and "dequantize"/"batches" RNG streams continue the
     run, and actnorm init is skipped. A NumericError names the step.
     """
+    if not model.param_tree():
+        raise ConfigError("model has no learnable parameters (model.depth_k = 0)")
     image_mode = model.config.mode == "image"
     n = data.shape[0]
     if n == 0:

@@ -393,13 +393,25 @@ class TestTrainCommand:
         assert "model.bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["train.checkpoint_every=0", "train.checkpoint_every=-1",
-                                         "train.lr=nan", "train.lr=inf"])
+                                         "train.lr=nan", "train.lr=inf", "model.height=0",
+                                         "model.width=-4", "model.dim=3", "model.depth_k=0"])
     def test_bad_train_value_exit_code(self, tmp_path, capsys, setting):
-        cfg = write_cfg(tmp_path, RANK2_CFG)
+        # image extents on the image config; dim = 3 against the 2D generator
+        image = setting.startswith(("model.height", "model.width"))
+        cfg = write_cfg(tmp_path, IMAGE_CFG if image else RANK2_CFG)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--set", setting, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and setting.split("=")[0].split(".")[1] in err[0]
+        assert not out.exists()
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"model.mode = rank2\n\xff\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not UTF-8 at byte offset 19" in err[0]
         assert not out.exists()
 
     def test_no_partial_output_on_config_error(self, tmp_path):
@@ -422,6 +434,20 @@ class TestFileErrors:
         assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not dst.parent.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nonfinite_csv_exit_code(self, tmp_path, capsys, command):
+        # a bad input value is a data error naming its line, not a layer's numeric error
+        data = tmp_path / "pts.csv"
+        data.write_text("1.0,2.0\n3.0,nan\n" + "0.5,-1.0\n" * 40)
+        if command == "train":
+            cfg = write_cfg(tmp_path, RANK2_CFG + f"data.kind = csv\ndata.path = {data}\n")
+            args = ["train", "--config", cfg, "--out", str(tmp_path / "run")]
+        else:
+            args = ["eval", "--checkpoint", rank2_checkpoint(tmp_path), "--data", str(data)]
+        assert main(args) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "line 2: not a finite number" in err[0]
 
 
 class TestEvalCommand:

@@ -1,6 +1,13 @@
+import functools
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nxnflow.config import KNOWN_KEYS, RunConfig
 from nxnflow.data import (Dataset2D, ImageDataset, gen_2d, gen_textures, load_images,
                           load_points_csv, save_images, save_points_csv, save_ppm_montage)
 from nxnflow.errors import ConfigError, DataError, FormatError
@@ -133,7 +140,10 @@ class TestCsv:
 
     @pytest.mark.parametrize("raw,what", [(b"1.0,2.0\n\n3.0,abc\n", "line 3: not a number"),
                                           (b"1.0,2.0\n3.0\n", "line 2: 1 columns, expected 2"),
-                                          (b"1.0,2.0\n\xff\xfe,1\n", "not UTF-8 at byte offset 8")])
+                                          (b"1.0,2.0\n\xff\xfe,1\n", "not UTF-8 at byte offset 8"),
+                                          (b"1.0,2.0\nnan,1\n", "line 2: not a finite number"),
+                                          (b"-inf,2.0\n", "line 1: not a finite number"),
+                                          (b"1.0,1e999\n", "line 1: not a finite number")])
     def test_malformed_input_is_data_error(self, tmp_path, raw, what):
         p = tmp_path / "bad.csv"
         p.write_bytes(raw)
@@ -154,3 +164,50 @@ class TestImageDatasetInvariants:
     def test_value_range_enforced(self):
         with pytest.raises(DataError):
             ImageDataset(images=np.full((1, 1, 2, 2), 40, dtype=np.uint8), bits=5)
+
+
+@functools.cache
+def valid_inputs() -> dict:
+    """kind -> (parser, the bytes of a valid file) for every input format but NXNF."""
+    with tempfile.TemporaryDirectory() as d:
+        d = pathlib.Path(d)
+        save_images(ImageDataset(images=Rng(0).integers(0, 16, (3, 2, 2, 2)).astype(np.uint8),
+                                 bits=4), d / "set.nxni")
+        save_points_csv(Rng(1).normal((6, 2)), d / "pts.csv")
+        config = "# every key\n" + "".join(f"{k} = {v}\n" for k, (_, v) in KNOWN_KEYS.items())
+        return {"nxni": (load_images, (d / "set.nxni").read_bytes()),
+                "csv": (load_points_csv, (d / "pts.csv").read_bytes()),
+                "config": (RunConfig.from_file, config.encode())}
+
+
+class TestParserFuzz:
+    # A truncated or mutated file fails closed: the parser returns, or raises
+    # FormatError, DataError or ConfigError; any other exception fails the test.
+    def parse(self, kind: str, edit) -> None:
+        parse, raw = valid_inputs()[kind]
+        with tempfile.TemporaryDirectory() as d:
+            p = pathlib.Path(d, "fuzzed")
+            p.write_bytes(edit(bytearray(raw)))
+            try:
+                parse(p)
+            except (FormatError, DataError, ConfigError):
+                pass
+
+    @pytest.mark.parametrize("kind", ["nxni", "csv", "config"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_truncation(self, kind, data):
+        self.parse(kind, lambda raw: raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+    @pytest.mark.parametrize("kind", ["nxni", "csv", "config"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_byte_mutations(self, kind, data):
+        def mutate(raw):
+            edits = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                 st.integers(0, 255)), min_size=1, max_size=3))
+            for pos, value in edits:
+                raw[pos] = value
+            return raw
+
+        self.parse(kind, mutate)

@@ -240,7 +240,7 @@ class TestRank2ArraysRejected:
 
 def conv_spec(conv):
     """A Conv2d's kernel as the brute-force oracle's taps and offsets."""
-    k = conv.kernel
+    k = conv.w.shape[2]
     taps = [(a, b) for a in range(k) for b in range(k)]
     return StandardConvSpec(taps=np.stack([conv.w[:, :, a, b] for a, b in taps]),
                             offsets=[(a - k // 2, b - k // 2) for a, b in taps])

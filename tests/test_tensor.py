@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nxnflow.errors import ShapeError
-from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _row_product, channel_affine, channel_matmul,
-                            channel_outer, lu_slogdet)
+from nxnflow.layers import ChannelAffine
+from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _patches, _row_product, conv, conv_backward,
+                            lu_slogdet)
 
 
 def brute_force_det(a):
@@ -22,80 +23,87 @@ def brute_force_det(a):
     return total
 
 
+def affine(scale, bias):
+    """A ChannelAffine layer with the given per-channel scale and bias."""
+    layer = ChannelAffine(len(scale))
+    layer.log_scale = np.log(np.asarray(scale, dtype=np.float64))
+    layer.bias = np.asarray(bias, dtype=np.float64)
+    return layer
+
+
+def mix(w):
+    """A C_out x C_in channel matrix as the 1x1 kernel conv takes."""
+    return np.asarray(w, dtype=np.float64)[:, :, None, None]
+
+
 class TestChannelAffine:
+    # the per-channel affine broadcast, written inline in layers.ChannelAffine
     def test_identity(self):
         x = Rng(0).normal((2, 3, 4, 4))
-        out = channel_affine(x, np.ones(3), np.zeros(3))
+        out, _, _ = ChannelAffine(3).forward(x)
         np.testing.assert_array_equal(out, x)
 
     def test_hand_value(self):
         x = np.full((1, 2, 2, 2), 2.0)
-        out = channel_affine(x, np.array([3.0, 1.0]), np.array([1.0, 0.0]))
-        assert np.all(out[:, 0] == 7.0)
+        out, _, _ = affine([4.0, 1.0], [1.0, 0.0]).forward(x)
+        assert np.all(out[:, 0] == 9.0)
         assert np.all(out[:, 1] == 2.0)
-
-    def test_negation_involution(self):
-        x = Rng(1).normal((2, 3, 2, 2))
-        once = channel_affine(x, -np.ones(3), np.zeros(3))
-        twice = channel_affine(once, -np.ones(3), np.zeros(3))
-        np.testing.assert_array_equal(twice, x)
 
     def test_rank2(self):
         # rank-2 points run as N x D x 1 x 1
         x = np.array([[1.0, 2.0]])[:, :, None, None]
-        out = channel_affine(x, np.array([2.0, 3.0]), np.array([0.5, -1.0]))
+        out, _, _ = affine([2.0, 3.0], [0.5, -1.0]).forward(x)
         np.testing.assert_allclose(out[:, :, 0, 0], [[2.5, 5.0]])
 
     def test_rank2_array_rejected(self):
+        layer = affine([1.0, 1.0], [0.0, 0.0])
         with pytest.raises(ShapeError):
-            channel_affine(np.zeros((1, 2)), np.ones(2), np.zeros(2))
-
-    def test_length_mismatch(self):
+            layer.forward(np.zeros((1, 2)))
         with pytest.raises(ShapeError):
-            channel_affine(np.zeros((1, 3, 2, 2)), np.ones(2), np.zeros(2))
+            layer.inverse(np.zeros((1, 2)))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_inverse_property(self, seed):
         rng = Rng(seed)
         x = rng.normal((2, 3, 2, 2))
-        scale = np.exp(rng.normal((3,)))  # |scale| >= 1e-6 guaranteed structurally
-        bias = rng.normal((3,))
-        y = channel_affine(x, scale, bias)
-        back = channel_affine(y, 1.0 / scale, -bias / scale)
+        layer = affine(np.exp(rng.normal((3,))), rng.normal((3,)))
+        y, _, _ = layer.forward(x)
+        back = layer.inverse(y)
         assert np.max(np.abs(back - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
 
 
 class TestChannelMatmul:
+    # conv at k = 1: the channel matrix applied at every pixel
     def test_identity(self):
         x = Rng(0).normal((2, 3, 4, 4))
-        np.testing.assert_array_equal(channel_matmul(np.eye(3), x), x)
+        np.testing.assert_array_equal(conv(x, mix(np.eye(3))), x)
 
     def test_swap(self):
         x = Rng(0).normal((2, 2, 3, 3))
-        out = channel_matmul(np.array([[0.0, 1.0], [1.0, 0.0]]), x)
+        out = conv(x, mix([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(out[:, 0], x[:, 1])
         np.testing.assert_array_equal(out[:, 1], x[:, 0])
 
     def test_scaling(self):
         x = np.ones((1, 2, 2, 2))
-        out = channel_matmul(2.0 * np.eye(2), x)
+        out = conv(x, mix(2.0 * np.eye(2)))
         assert np.all(out == 2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            channel_matmul(np.eye(2), np.zeros((1, 3, 2, 2)))
+            conv(np.zeros((1, 3, 2, 2)), mix(np.eye(2)))
 
     def test_rank2_array_rejected(self):
         with pytest.raises(ShapeError):
-            channel_matmul(np.eye(2), np.zeros((1, 2)))
+            conv(np.zeros((1, 2)), mix(np.eye(2)))
 
     def test_matches_einsum(self):
         rng = Rng(3)
         w = rng.normal((4, 3))
         x = rng.normal((2, 3, 2, 5))
         ref = np.einsum("dc,nchw->ndhw", w, x)
-        np.testing.assert_allclose(channel_matmul(w, x), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv(x, mix(w)), ref, rtol=0, atol=1e-12)
 
     def test_channels_last_input(self):
         rng = Rng(6)
@@ -103,7 +111,7 @@ class TestChannelMatmul:
         x = rng.normal((2, 2, 5, 3)).transpose(0, 3, 1, 2)  # NCHW view of NHWC memory
         assert not x.flags.c_contiguous
         ref = np.einsum("dc,nchw->ndhw", w, x)
-        np.testing.assert_allclose(channel_matmul(w, x), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv(x, mix(w)), ref, rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -112,8 +120,8 @@ class TestChannelMatmul:
         a = rng.normal((3, 3))
         b = rng.normal((3, 3))
         x = rng.normal((2, 3, 2, 2))
-        lhs = channel_matmul(a, channel_matmul(b, x))
-        rhs = channel_matmul(a @ b, x)
+        lhs = conv(conv(x, mix(b)), mix(a))
+        rhs = conv(x, mix(a @ b))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -142,27 +150,41 @@ class TestRowProduct:
 
 
 class TestChannelOuter:
+    # the kernel gradient of conv at k = 1: dy and x summed over batch and pixels
     def test_matches_einsum(self):
         rng = Rng(4)
         dy = rng.normal((3, 4, 2, 5))
         x = rng.normal((3, 2, 2, 5))
         ref = np.einsum("ndhw,nchw->dc", dy, x)
-        np.testing.assert_allclose(channel_outer(dy, x), ref, rtol=0, atol=1e-12)
+        _, gw = conv_backward(dy, x, mix(np.zeros((4, 2))))
+        np.testing.assert_allclose(gw[:, :, 0, 0], ref, rtol=0, atol=1e-12)
 
     def test_is_the_weight_gradient_of_channel_matmul(self):
-        # <channel_matmul(w, x), dy> is linear in w with gradient channel_outer(dy, x)
+        # <conv(x, w), dy> is linear in w with gradient conv_backward's dkernel
         rng = Rng(5)
         w = rng.normal((4, 2))
         x = rng.normal((2, 2, 3, 3))
         dy = rng.normal((2, 4, 3, 3))
-        lhs = float((channel_matmul(w, x) * dy).sum())
-        assert lhs == pytest.approx(float((w * channel_outer(dy, x)).sum()), rel=1e-12)
+        lhs = float((conv(x, mix(w)) * dy).sum())
+        _, gw = conv_backward(dy, x, mix(w))
+        assert lhs == pytest.approx(float((mix(w) * gw).sum()), rel=1e-12)
 
     def test_extent_mismatch(self):
         with pytest.raises(ShapeError):
-            channel_outer(np.zeros((2, 3, 2, 2)), np.zeros((2, 3, 2, 3)))
+            conv_backward(np.zeros((2, 3, 2, 2)), np.zeros((2, 3, 2, 3)), mix(np.eye(3)))
         with pytest.raises(ShapeError):
-            channel_outer(np.zeros((2, 3)), np.zeros((2, 3)))
+            conv_backward(np.zeros((2, 3)), np.zeros((2, 3)), mix(np.eye(3)))
+
+    def test_channels_last_dy_rows_are_a_view(self):
+        # a conv output (channels-last memory) as dy: its pixel rows are not copied
+        rng = Rng(8)
+        x = rng.normal((2, 3, 4, 5))
+        dy = conv(rng.normal((2, 3, 4, 5)), mix(rng.normal((3, 3))))
+        assert not dy.flags.c_contiguous
+        assert np.shares_memory(_patches(dy, 1), dy)
+        _, gw = conv_backward(dy, x, mix(np.eye(3)))
+        ref = np.einsum("ndhw,nchw->dc", dy, x)
+        np.testing.assert_allclose(gw[:, :, 0, 0], ref, rtol=0, atol=1e-12)
 
 
 class TestLuSlogdet:
