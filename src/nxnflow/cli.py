@@ -35,17 +35,19 @@ def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.nd
             return _checked_points(data_io.load_points_csv(run["data.path"]), kind, model_cfg)
         raise ConfigError(f"data.kind {kind!r} is not valid for rank2 mode")
     if kind == "textures":
-        if model_cfg.height != model_cfg.width:
-            raise ConfigError("textures generator needs square images")
-        ds = data_io.gen_textures(run["data.n"], model_cfg.channels,
-                                  model_cfg.height, model_cfg.bits, rng)
-    elif kind == "nxni":
-        if not run["data.path"]:
-            raise ConfigError("data.kind = nxni requires data.path")
-        ds = data_io.load_images(run["data.path"])
-    else:
+        return _textures(run["data.n"], model_cfg, rng)
+    if kind != "nxni":
         raise ConfigError(f"data.kind {kind!r} is not valid for image mode")
-    return _checked_images(ds, model_cfg)
+    if not run["data.path"]:
+        raise ConfigError("data.kind = nxni requires data.path")
+    return _checked_images(data_io.load_images(run["data.path"]), model_cfg)
+
+
+def _textures(n: int, model_cfg: ModelConfig, rng: Rng) -> np.ndarray:
+    if model_cfg.height != model_cfg.width:
+        raise ConfigError("textures generator needs square images")
+    return _checked_images(data_io.gen_textures(n, model_cfg.channels, model_cfg.height,
+                                                model_cfg.bits, rng), model_cfg)
 
 
 def _checked_points(pts: np.ndarray, kind: str, model_cfg: ModelConfig) -> np.ndarray:
@@ -154,8 +156,7 @@ def _load_eval_data(spec: str, model_cfg: ModelConfig, seed: int, n: int):
                                    spec, model_cfg)
         return _checked_points(data_io.load_points_csv(spec), "csv", model_cfg)
     if spec == "textures":
-        return data_io.gen_textures(n, model_cfg.channels, model_cfg.height,
-                                    model_cfg.bits, Rng(seed).child("data")).images
+        return _textures(n, model_cfg, Rng(seed).child("data"))
     return _checked_images(data_io.load_images(spec), model_cfg)
 
 

@@ -120,22 +120,23 @@ class Inv1x1:
             "log_u_diag": self.log_u_diag,
         }
 
-    def _triangles(self) -> tuple[np.ndarray, np.ndarray]:
-        """The PLU factors L (unit lower) and U (upper) from the parameters."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L (unit lower) and U (upper) from the parameters, and W = P @ L @ U."""
         lower = np.where(self._strict_lower, self.l_strict, self._eye)
         upper = np.where(self._strict_upper, self.u_off, 0.0)
         upper.flat[::self.channels + 1] = self.u_sign * np.exp(self.log_u_diag)
-        return lower, upper
+        return lower, upper, self.p @ lower @ upper
 
     @property
     def matrix(self) -> np.ndarray:
-        lower, upper = self._triangles()
-        return self.p @ lower @ upper
+        return self._factors()[2]
 
     def forward(self, x):
         n, _, h, w = nchw(x)
         logdet = np.full(n, h * w * float(self.log_u_diag.sum()))
-        return conv(x, self.matrix[:, :, None, None]), logdet, {"x": x}
+        lower, upper, matrix = self._factors()
+        cache = {"x": x, "lower": lower, "upper": upper, "w": matrix}
+        return conv(x, matrix[:, :, None, None]), logdet, cache
 
     def inverse(self, y):
         # The C x C inverse, then the forward's channel product. A triangular
@@ -145,10 +146,9 @@ class Inv1x1:
         return conv(y, np.linalg.inv(self.matrix)[:, :, None, None])
 
     def backward(self, dy, dlogdet, cache):
-        x = cache["x"]
+        x, lower, upper = cache["x"], cache["lower"], cache["upper"]
         ld = x.shape[2] * x.shape[3] * dlogdet.sum()
-        lower, upper = self._triangles()
-        dx, gw = conv_backward(dy, x, (self.p @ lower @ upper)[:, :, None, None])
+        dx, gw = conv_backward(dy, x, cache["w"][:, :, None, None])
         gw = gw[:, :, 0, 0]
         g_lower = self.p.T @ gw @ upper.T
         g_upper = lower.T @ self.p.T @ gw
@@ -193,7 +193,9 @@ class ConditionerNet:
 
     Kernel size 3 for image data and 1 for rank-2 data (a 1x1 convolution
     on a 1x1 grid is a dense layer). The zero-initialized output layer
-    makes the coupling start as the identity.
+    makes the coupling start as the identity. ReLU works in place and keeps
+    no mask: the next conv caches its output, which is > 0 exactly where
+    the pre-activation is, so backward takes the mask from that cache.
     """
 
     def __init__(self, c_in: int, c_out: int, hidden: int, kernel: int, rng: Rng):
@@ -213,22 +215,20 @@ class ConditionerNet:
     def forward(self, x):
         caches = []
         h = x
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
+            if caches:  # relu between the convs
+                np.maximum(h, 0, out=h)
             h, c = layer.forward(h)
-            mask = h > 0 if i < len(self.layers) - 1 else None  # relu after all but the last
-            if mask is not None:
-                h *= mask
-            caches.append((c, mask))
+            caches.append(c)
         return h, caches
 
     def backward(self, dout, caches):
         grads = {}
         g = dout
         for i in reversed(range(len(self.layers))):
-            c, mask = caches[i]
-            if mask is not None:
-                g = g * mask
-            g, gw, gb = self.layers[i].backward(g, c)
+            if i < len(self.layers) - 1:
+                g = g * (caches[i + 1]["x"] > 0)
+            g, gw, gb = self.layers[i].backward(g, caches[i])
             grads[f"conv{i}/w"] = gw
             grads[f"conv{i}/b"] = gb
         return g, grads

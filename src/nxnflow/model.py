@@ -229,26 +229,34 @@ class MultiScaleModel:
         """An NCHW flow tensor in the public layout (N x D in rank-2 mode)."""
         return h[:, :, 0, 0] if self.config.mode == "rank2" else h
 
-    def _walk(self, x: np.ndarray, tape: list | None) -> FlowOutput:
+    def _walk(self, x: np.ndarray, tape: list | None, checked: bool = False) -> FlowOutput:
         """The forward pass with NCHW latent parts. Each flow entry's cache
         is appended to ``tape`` when one is given and dropped otherwise, so a
-        pass that no backward follows keeps no activations alive."""
+        pass that no backward follows keeps no activations alive. Warnings
+        are off and only the result is checked: every layer maps a non-finite
+        input to a non-finite output. If the result is not finite, the pass
+        runs again ``checked`` under the caller's error state, which raises
+        a NumericError naming the first layer with a non-finite output; if no
+        layer has one (the log-det overflowed in its sum), the result stands."""
         h = self._check_input(x)
         logdet = np.zeros(h.shape[0])
         z_parts = []
-        for name, layer in self.flow:
-            if layer is None:
-                h, factored = split_channels(h)
-                z_parts.append(factored)
-                cache = None
-            else:
-                h, ld, cache = layer.forward(h)
-                if not np.isfinite(h).all() or not np.isfinite(ld).all():
-                    raise NumericError(f"non-finite activation at {name}")
-                logdet += ld
-            if tape is not None:
-                tape.append(cache)
+        with np.errstate(all=None if checked else "ignore"):
+            for name, layer in self.flow:
+                if layer is None:
+                    h, factored = split_channels(h)
+                    z_parts.append(factored)
+                    cache = None
+                else:
+                    h, ld, cache = layer.forward(h)
+                    if checked and not (np.isfinite(h).all() and np.isfinite(ld).all()):
+                        raise NumericError(f"non-finite activation at {name}")
+                    logdet += ld
+                if tape is not None:
+                    tape.append(cache)
         z_parts.append(h)
+        if not (checked or all(np.isfinite(a).all() for a in [logdet, *z_parts])):
+            self._walk(x, None, checked=True)
         return FlowOutput(z_parts=z_parts, logdet=logdet)
 
     def forward_with_tape(self, x: np.ndarray):
@@ -264,7 +272,8 @@ class MultiScaleModel:
         return out
 
     def inverse(self, z_parts: list) -> np.ndarray:
-        """Latent parts in the shapes of ``config.z_shapes()`` -> (N,) + input shape."""
+        """Latent parts in the shapes of ``config.z_shapes()`` -> (N,) + input
+        shape. A non-finite output is a NumericError naming its layer (``_walk``)."""
         shapes = self.config.z_shapes()
         if len(z_parts) != len(shapes):
             raise ShapeError(f"expected {len(shapes)} latent parts, got {len(z_parts)}")
@@ -272,15 +281,22 @@ class MultiScaleModel:
             if tuple(z.shape[1:]) != tuple(s):
                 raise ShapeError(f"latent part shape {z.shape[1:]} != expected {s}")
         parts = [self._to_flow(np.asarray(z, dtype=np.float64)) for z in z_parts]
-        h = parts.pop()
-        for name, layer in reversed(self.flow):
-            if layer is None:
-                h = unsplit_channels(h, parts.pop())
-                continue
-            h = layer.inverse(h)
-            if not np.isfinite(h).all():
-                raise NumericError(f"non-finite activation at {name}")
-        return self._from_flow(h)
+        return self._from_flow(self._unwalk(parts))
+
+    def _unwalk(self, z_parts: list, checked: bool = False) -> np.ndarray:
+        """The inverse pass over NCHW latent parts, checked as ``_walk`` is."""
+        *parts, h = z_parts
+        with np.errstate(all=None if checked else "ignore"):
+            for name, layer in reversed(self.flow):
+                if layer is None:
+                    h = unsplit_channels(h, parts.pop())
+                    continue
+                h = layer.inverse(h)
+                if checked and not np.isfinite(h).all():
+                    raise NumericError(f"non-finite activation at {name}")
+        if not (checked or np.isfinite(h).all()):
+            self._unwalk(z_parts, checked=True)
+        return h
 
     # -- likelihood ---------------------------------------------------------
 

@@ -33,9 +33,12 @@ def nchw(x: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def _row_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows @ cols (M x K times K x D) as stacked products of row blocks of
-    at most ONE_THREAD_MNK multiply-adds each, then one for the rest."""
+    """rows @ cols (M x K times K x D): one call when it is at most
+    ONE_THREAD_MNK multiply-adds, else stacked products of row blocks of at
+    most that many each, then one for the rest. M = 0 makes no call."""
     (m, k), d = rows.shape, cols.shape[1]
+    if 0 < m * k * d <= ONE_THREAD_MNK:
+        return np.matmul(rows, cols)
     out = np.empty((m, d))
     block = max(1, ONE_THREAD_MNK // max(1, k * d))
     whole = m - m % block
@@ -80,12 +83,17 @@ def conv_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray):
     """(dx, dkernel): the adjoints of conv(x, kernel) for the output
     gradient dy. dkernel is one product of dy's pixel rows, transposed, with
     the patch rows; dx is dy convolved with the flipped, channel-transposed
-    kernel."""
+    kernel, which at k = 1 is dy's pixel rows times the C_out x C_in matrix."""
     d, c, k, _ = kernel.shape
     if nchw(dy)[:2] != (x.shape[0], d) or dy.shape[2:] != x.shape[2:]:
         raise ShapeError(f"gradient {dy.shape} does not fit input {x.shape}")
-    dkernel = _patches(dy, 1).T @ _patches(x, k)
-    dx = conv(dy, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    rows = _patches(dy, 1)
+    dkernel = rows.T @ _patches(x, k)
+    if k == 1:
+        n, _, h, w = dy.shape
+        dx = _row_product(rows, kernel[:, :, 0, 0]).reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    else:
+        dx = conv(dy, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return dx, dkernel.reshape(d, k, k, c).transpose(0, 3, 1, 2)
 
 

@@ -473,6 +473,21 @@ class TestEvalCommand:
                      "--n", "64", "--seed", "1", "--out", str(out)]) == 0
         assert out.read_text().startswith("nll_nats,bpd\n")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_square_textures_exit_code(self, tmp_path, capsys, command):
+        # train and eval build generated textures through the same checks
+        wide = IMAGE_CFG.replace("model.width = 8", "model.width = 16")
+        if command == "train":
+            args = ["train", "--config", write_cfg(tmp_path, wide), "--out", str(tmp_path / "run")]
+        else:
+            model = build_model(RunConfig.from_file(write_cfg(tmp_path, wide)).model_config(), 0)
+            ck = tmp_path / "wide.nxnf"
+            ckpt_io.save(untrained_checkpoint(model), ck)
+            args = ["eval", "--checkpoint", str(ck), "--data", "textures", "--n", "8"]
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: textures generator needs square images"]
+
     def test_csv_dimension_mismatch_exit_code(self, trained, tmp_path, capsys):
         data = tmp_path / "three.csv"
         data.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")

@@ -8,7 +8,7 @@ from nxnflow.errors import DegenerateChannelError, ShapeError, StateError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nxnflow.layers import (ChannelAffine, Conv2d, Coupling, Inv1x1, Squeeze, split_channels,
+from nxnflow.layers import (ChannelAffine, ConditionerNet, Conv2d, Coupling, Inv1x1, Squeeze, split_channels,
                             squeeze2x2, unsplit_channels, unsqueeze2x2)
 from nxnflow.model import standard_normal_logp
 from nxnflow.suites import LAYER_KINDS, random_layer
@@ -325,6 +325,44 @@ class TestConv2d:
         # the same 40 pixel rows as two 16-row blocks and a remainder of 8
         monkeypatch.setattr(tensor, "ONE_THREAD_MNK", 16 * 54)
         self.test_backward_matches_finite_differences()
+
+
+def masked_conditioner(net, x, dout):
+    """(output, dx, grads) of net with a ReLU that keeps its mask from the
+    forward pass for backward: the reference for the mask-free one."""
+    h, caches, masks = x, [], []
+    for layer in net.layers:
+        if caches:
+            masks.append(h > 0)
+            h = h * masks[-1]
+        h, cache = layer.forward(h)
+        caches.append(cache)
+    g, grads = dout, {}
+    for i in reversed(range(len(net.layers))):
+        if i < len(masks):
+            g = g * masks[i]
+        g, grads[f"conv{i}/w"], grads[f"conv{i}/b"] = net.layers[i].backward(g, caches[i])
+    return h, g, grads
+
+
+class TestConditionerNet:
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_matches_kept_masks(self, kernel):
+        rng = Rng(kernel)
+        net = ConditionerNet(2, 4, 8, kernel, rng.child("net"))
+        net.layers[2].w = rng.normal(net.layers[2].w.shape)
+        net.layers[0].b = np.array([0.0, 0.0, 0.5, -0.5, 0.0, 1.0, -1.0, 0.0])
+        x = rng.normal((3, 2, 4, 4))
+        x[1] = 0.0  # sample 1's pre-activations are exactly the biases
+        pre = net.layers[0].forward(x)[0]
+        assert (pre < 0).any() and (pre == 0).any() and (pre > 0).any()
+        dout = rng.normal((3, 4, 4, 4))
+        y, caches = net.forward(x)
+        dx, grads = net.backward(dout, caches)
+        ref_y, ref_dx, ref_grads = masked_conditioner(net, x, dout)
+        assert np.array_equal(y, ref_y) and np.array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
 
 class TestSqueezeSplit:

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nxnflow.model import (ModelConfig, MultiScaleModel, bits_per_dim, build_mod
                            standard_normal_logp)
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
+from nxnflow.training import TrainConfig, train
 
 
 def identity_init_model(cfg, seed=0):
@@ -217,6 +219,55 @@ class TestSampling:
         model = random_small_model(Rng(15))
         with pytest.raises(ConfigError):
             model.sample(1, 0.0, Rng(0))
+
+
+def nonfinite_model(seed: int, log_scale: float):
+    """random_small_model whose level0/step1 shift overflows (+1e6) or
+    underflows to a zero scale (-1e6)."""
+    model = random_small_model(Rng(seed))
+    model.param_tree()["level0/step1/shift/log_scale"][:] = log_scale
+    return model
+
+
+def error_and_warnings(call) -> tuple[str, list]:
+    """The NumericError message of call() and the RuntimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as err:
+            call()
+    return str(err.value), [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+class TestNonFiniteContract:
+    # A pass checks only its result and re-runs checked when that is not
+    # finite: the message and the numpy warnings must be those of a check
+    # after every layer.
+    AT_SHIFT = "non-finite activation at level0/step1/shift"
+
+    @pytest.mark.parametrize("call", ["log_prob", "loss_and_grads"])
+    def test_forward(self, call):
+        model = nonfinite_model(11, 1e6)
+        x = Rng(12).normal((4, 2, 4, 4))
+        message, warned = error_and_warnings(lambda: getattr(model, call)(x))
+        assert message == self.AT_SHIFT
+        assert warned == ["overflow encountered in exp"]
+
+    def test_train(self):
+        model = nonfinite_model(11, 1e6)
+        model.init_actnorms = lambda batch: None  # random_small_model's are set
+        data = Rng(12).integers(0, 32, (8, 2, 4, 4))
+        message, warned = error_and_warnings(
+            lambda: train(model, data, TrainConfig(batch_size=4, steps=1)))
+        assert message == f"step 1: {self.AT_SHIFT}"
+        assert warned == ["overflow encountered in exp"]
+
+    def test_inverse(self):
+        model = nonfinite_model(16, -1e6)
+        z = [Rng(17).normal((2,) + s) for s in model.config.z_shapes()]
+        message, warned = error_and_warnings(lambda: model.inverse(z))
+        assert message == self.AT_SHIFT
+        assert warned == ["divide by zero encountered in divide"] * 2 + [
+            "invalid value encountered in add"]
 
 
 def other_threads_cpu_ticks() -> int:

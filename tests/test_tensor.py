@@ -129,7 +129,7 @@ class TestRowProduct:
     # a 3x3 conv's 288 x 32 kernel columns: blocks of 28 pixel rows
     K, D, BLOCK = 288, 32, ONE_THREAD_MNK // (288 * 32)
 
-    @pytest.mark.parametrize("m", [0, BLOCK - 9, 3 * BLOCK, 3 * BLOCK + 11])
+    @pytest.mark.parametrize("m", [0, BLOCK - 9, BLOCK, 3 * BLOCK, 3 * BLOCK + 11])
     def test_one_thread_blocks(self, m, monkeypatch):
         sizes = []
         matmul = np.matmul
@@ -147,6 +147,8 @@ class TestRowProduct:
         assert np.max(np.abs(out - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
         assert len(sizes) == (m >= self.BLOCK) + (m % self.BLOCK > 0)
         assert all(size <= ONE_THREAD_MNK for size in sizes)
+        if 0 < m <= self.BLOCK:  # within one block: the plain product, one call
+            assert np.array_equal(out, ref)
 
 
 class TestChannelOuter:
@@ -174,6 +176,19 @@ class TestChannelOuter:
             conv_backward(np.zeros((2, 3, 2, 2)), np.zeros((2, 3, 2, 3)), mix(np.eye(3)))
         with pytest.raises(ShapeError):
             conv_backward(np.zeros((2, 3)), np.zeros((2, 3)), mix(np.eye(3)))
+
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_input_gradient_is_the_flipped_conv(self, channels_last):
+        # at k = 1 dx is dy's pixel rows times W, the same arithmetic as dy
+        # convolved with the flipped, channel-transposed kernel
+        rng = Rng(9)
+        x = rng.normal((2, 3, 4, 5))
+        kernel = mix(rng.normal((4, 3)))
+        dy = rng.normal((2, 4, 4, 5))
+        if channels_last:
+            dy = conv(dy, mix(rng.normal((4, 4))))
+        dx, _ = conv_backward(dy, x, kernel)
+        assert np.array_equal(dx, conv(dy, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
     def test_channels_last_dy_rows_are_a_view(self):
         # a conv output (channels-last memory) as dy: its pixel rows are not copied
