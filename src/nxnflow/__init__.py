@@ -1,5 +1,5 @@
-"""Normalizing-flow density estimation built around an invertible
-per-channel shift composed with an invertible 1x1 convolution."""
+"""Normalizing-flow density estimation with multi-scale flows whose steps
+are actnorm, an invertible 1x1 PLU channel mix and an affine coupling."""
 
 from .model import FlowOutput, ModelConfig, MultiScaleModel, bits_per_dim, build_model
 from .tensor import Rng

@@ -15,8 +15,8 @@ The arrays are the model's state tree (learnable parameters and the PLU
 buffers ``p``/``u_sign``) and, when the flag is set, the Adam moments of
 each learnable parameter as ``adam/m/<param>`` and ``adam/v/<param>``.
 Moments with the flag clear, and text fields that are not UTF-8, raise
-FormatError at the offending byte. Version 4 is the only version read;
-versions 1-3 (which stored the moments in a second encoding) are refused.
+FormatError at the offending byte. Version 5 is the only version read;
+versions 1-4 (older moment encodings or ``shift`` arrays) are refused.
 Round trips are bit-exact; loading refuses a mismatched config echo.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 NXNF_MAGIC = b"NXNF"
-NXNF_VERSION = 4
+NXNF_VERSION = 5
 MAX_RANK = 64  # numpy's limit on array dimensions
 MAX_BYTES = np.iinfo(np.intp).max  # numpy's limit on the bytes one shape spans
 

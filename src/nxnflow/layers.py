@@ -11,8 +11,9 @@ of ``params()``. Inputs are rank-4 NCHW arrays; the model runs rank-2
 points as N x D x 1 x 1, so no layer knows a second layout. A rank-2 array
 passed straight to a layer is a ShapeError.
 
-The invertible n x n convolution is a ChannelAffine shift followed by an
-Inv1x1 mix. The mix and the conditioner's Conv2d run one kernel pair,
+A flow step's invertible layer is the Inv1x1 mix; the paper's n x n layer
+(a spatial shift, then that mix) is checked only by ``conv_reformulation``.
+The mix and the conditioner's Conv2d run one kernel pair,
 ``tensor.conv`` and ``tensor.conv_backward``; the mix passes its C x C
 matrix as a C x C x 1 x 1 kernel. Per-channel scales are stored as logs,
 so they stay strictly positive and an identity initialization is a zero log.
@@ -31,11 +32,11 @@ from .tensor import Rng, conv, conv_backward, lu_factor, nchw
 class ChannelAffine:
     """Per-channel affine map y = exp(log_scale) * x + bias.
 
-    A flow step uses it twice. As actnorm (``data_init=True``) it starts
-    uninitialized and ``init_from_batch`` sets it so the batch leaves with
-    zero mean and unit variance per channel. As the shift of the n x n
-    convolution it starts at the identity and trains freely. The Jacobian
-    is diagonal, so the log-det is H*W * sum_c log_scale_c.
+    A flow step uses it as actnorm (``data_init=True``): it starts
+    uninitialized and ``init_from_batch`` sets it in place so the batch
+    leaves with zero mean and unit variance per channel. Without data init
+    it starts at the identity and trains freely. The Jacobian is diagonal,
+    so the log-det is H*W * sum_c log_scale_c.
     """
 
     def __init__(self, channels: int, data_init: bool = False):
@@ -60,8 +61,8 @@ class ChannelAffine:
             raise DegenerateChannelError(
                 f"channel {bad} has std {sigma[bad]:.3e} < 1e-6"
             )
-        self.log_scale = -np.log(sigma)
-        self.bias = -mu / sigma
+        self.log_scale[...] = -np.log(sigma)
+        self.bias[...] = -mu / sigma
         self.initialized = True
 
     def forward(self, x):

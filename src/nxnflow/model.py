@@ -1,10 +1,10 @@
 """Multi-scale flow model: squeeze -> K flow steps -> split, per level.
 
-One flow step applies actnorm, then the invertible n x n convolution
-(per-channel shift composed with an invertible 1x1 convolution), then an
-affine coupling; actnorm and the shift are both ChannelAffine layers. The
-whole flow is one ordered list of named layers with split markers between
-levels, and every pass over the model is one loop over that list. Exact
+One flow step applies actnorm (a ChannelAffine), then the invertible 1x1
+PLU channel mix, then an affine coupling. The paper's n x n layer (a spatial
+shift composed with that mix) is not a model layer yet. The whole flow is
+one ordered list of named layers with split markers between levels, and
+every pass over the model is one loop over that list. Exact
 log-likelihood is the standard-normal prior term on all latent parts plus
 the accumulated log-determinant.
 Layers see only NCHW tensors; this module alone knows the rank-2 layout:
@@ -107,17 +107,15 @@ class FlowOutput:
 
 
 class FlowStep:
-    """actnorm -> shift -> 1x1 mix -> coupling, in that order."""
+    """actnorm -> 1x1 mix -> coupling, in that order."""
 
     def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng):
         self.actnorm = ChannelAffine(channels, data_init=True)
-        self.shift = ChannelAffine(channels)
         self.mix = Inv1x1(channels, rng.child("mix"))
         self.coupling = Coupling(channels, hidden, kernel, rng.child("coupling"))
 
     def sublayers(self):
-        return [("actnorm", self.actnorm), ("shift", self.shift),
-                ("mix", self.mix), ("coupling", self.coupling)]
+        return [("actnorm", self.actnorm), ("mix", self.mix), ("coupling", self.coupling)]
 
 
 def standard_normal_logp(z: np.ndarray) -> np.ndarray:

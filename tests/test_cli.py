@@ -62,10 +62,10 @@ def untrained_checkpoint(model):
 
 
 def rank2_checkpoint(tmp_path, log_scale=0.0):
-    """An untrained rank2 checkpoint whose first shift has the given log_scale."""
+    """An untrained rank2 checkpoint whose first actnorm has the given log_scale."""
     model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
                                     hidden_width=8), 0)
-    model.steps[0][0].shift.log_scale[:] = log_scale
+    model.steps[0][0].actnorm.log_scale[:] = log_scale
     p = tmp_path / "m.nxnf"
     ckpt_io.save(untrained_checkpoint(model), p)
     return str(p)
@@ -142,7 +142,7 @@ class TestCheckpointFormat:
         with pytest.raises(ConfigError):
             ckpt_io.restore_model(ck, other)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_refused(self, tmp_path, capsys, version):
         raw = bytearray(ckpt_io.serialize(untrained_checkpoint(random_small_model(Rng(0)))))
         raw[4:8] = version.to_bytes(4, "little")
@@ -178,7 +178,7 @@ class TestCheckpointFormat:
         ("level0/step0/mix/u_sign", np.zeros(2)),
         ("level0/step1/mix/u_sign", np.array([1.0, np.nan])),
         ("level0/step0/coupling/net/conv0/w", np.zeros(3)),
-        ("level0/step0/shift/bias", None),
+        ("level0/step0/actnorm/bias", None),
         ("level0/step7/shift/bias", np.zeros(2)),
     ], ids=["p_shape_1", "p_rank_3", "p_3I", "p_repeated_row", "u_sign_0", "u_sign_nan",
             "param_shape", "missing", "unknown"])
@@ -540,12 +540,12 @@ class TestSampleCommand:
         assert not dst.exists()
 
     def test_nonfinite_sample_exit_code(self, tmp_path, capsys):
-        # exp(-1e6) underflows to 0, so the shift's inverse divides by zero
+        # exp(-1e6) underflows to 0, so the actnorm's inverse divides by zero
         ck = rank2_checkpoint(tmp_path, log_scale=-1e6)
         dst = tmp_path / "s.csv"
         with np.errstate(divide="ignore", invalid="ignore"):
             assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 4
-        assert "level0/step0/shift" in capsys.readouterr().err
+        assert "level0/step0/actnorm" in capsys.readouterr().err
         assert not dst.exists()
 
     def test_image_samples_with_montage(self, trained_image, tmp_path):

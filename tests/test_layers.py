@@ -37,7 +37,9 @@ def plu_inv1x1(perm, log_scale=0.0):
 
 
 def nxn_conv_forward(shift, mix, x):
-    """The invertible n x n convolution as a flow step runs it: shift, then mix."""
+    """A per-channel affine shift followed by the 1x1 mix. A flow step's
+    invertible layer is the 1x1 PLU mix alone, after actnorm; these tests
+    pin the arithmetic of the composition."""
     h, ld1, _ = shift.forward(x)
     y, ld2, _ = mix.forward(h)
     return y, ld1 + ld2

@@ -117,6 +117,41 @@ class TestStateTree:
         for k, v in before.items():
             np.testing.assert_array_equal(dst.state_tree()[k], v, err_msg=k)
 
+    def test_param_tree_stays_live_across_actnorm_init(self):
+        model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                        hidden_width=4), 0)
+        tree = model.param_tree()
+        model.init_actnorms(Rng(1).normal((64, 2)))
+        for k, step in enumerate(model.steps[0]):
+            for pname, arr in step.actnorm.params().items():
+                assert np.any(arr != 0.0)
+                np.testing.assert_array_equal(tree[f"level0/step{k}/actnorm/{pname}"], arr)
+
+
+class TestStructure:
+    """A flow step is actnorm -> 1x1 mix -> coupling, with no second
+    per-channel affine after actnorm."""
+
+    @pytest.mark.parametrize("cfg, arrays", [
+        (ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8, levels=2,
+                     hidden_width=32, bits=5), 176),
+        (ModelConfig(mode="rank2", dim=2, depth_k=8, levels=1, hidden_width=32), 88),
+    ], ids=["image", "rank2"])
+    def test_steps_and_param_count(self, cfg, arrays):
+        model = build_model(cfg, 0)
+        for steps in model.steps:
+            for step in steps:
+                assert tuple(name for name, _ in step.sublayers()) == (
+                    "actnorm", "mix", "coupling")
+        assert len(model.param_tree()) == arrays
+
+    def test_set_state_refuses_shift_array(self):
+        model = random_small_model(Rng(22))
+        tree = {k: v.copy() for k, v in model.state_tree().items()}
+        tree["level0/step0/shift/log_scale"] = np.zeros(8)
+        with pytest.raises(FormatError, match="level0/step0/shift/log_scale"):
+            model.set_state(tree)
+
 
 class TestRank2PublicShapes:
     """Rank-2 points run through the flow as N x D x 1 x 1; every public
@@ -180,7 +215,7 @@ class TestLogProb:
 
     def test_nonfinite_names_layer(self):
         model = random_small_model(Rng(11))
-        model.steps[0][0].shift.log_scale[:] = 1e6  # exp overflows downstream
+        model.steps[0][0].actnorm.log_scale[:] = 1e6  # exp overflows downstream
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="level0/step0"):
                 model.log_prob(Rng(12).normal((1, 2, 4, 4)))
@@ -189,10 +224,10 @@ class TestLogProb:
 class TestSampling:
     def test_nonfinite_inverse_names_layer(self):
         model = random_small_model(Rng(16))
-        model.steps[0][0].shift.log_scale[:] = -1e6  # 1/exp underflows to a division by 0
+        model.steps[0][0].actnorm.log_scale[:] = -1e6  # 1/exp underflows to a division by 0
         z = [Rng(17).normal((1,) + s) for s in model.config.z_shapes()]
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="non-finite activation at level0/step0/shift"):
+            with pytest.raises(NumericError, match="non-finite activation at level0/step0/actnorm"):
                 model.inverse(z)
 
     def test_determinism(self):
@@ -222,10 +257,10 @@ class TestSampling:
 
 
 def nonfinite_model(seed: int, log_scale: float):
-    """random_small_model whose level0/step1 shift overflows (+1e6) or
+    """random_small_model whose level0/step1 actnorm overflows (+1e6) or
     underflows to a zero scale (-1e6)."""
     model = random_small_model(Rng(seed))
-    model.param_tree()["level0/step1/shift/log_scale"][:] = log_scale
+    model.param_tree()["level0/step1/actnorm/log_scale"][:] = log_scale
     return model
 
 
@@ -242,14 +277,14 @@ class TestNonFiniteContract:
     # A pass checks only its result and re-runs checked when that is not
     # finite: the message and the numpy warnings must be those of a check
     # after every layer.
-    AT_SHIFT = "non-finite activation at level0/step1/shift"
+    AT_ACTNORM = "non-finite activation at level0/step1/actnorm"
 
     @pytest.mark.parametrize("call", ["log_prob", "loss_and_grads"])
     def test_forward(self, call):
         model = nonfinite_model(11, 1e6)
         x = Rng(12).normal((4, 2, 4, 4))
         message, warned = error_and_warnings(lambda: getattr(model, call)(x))
-        assert message == self.AT_SHIFT
+        assert message == self.AT_ACTNORM
         assert warned == ["overflow encountered in exp"]
 
     def test_train(self):
@@ -258,14 +293,14 @@ class TestNonFiniteContract:
         data = Rng(12).integers(0, 32, (8, 2, 4, 4))
         message, warned = error_and_warnings(
             lambda: train(model, data, TrainConfig(batch_size=4, steps=1)))
-        assert message == f"step 1: {self.AT_SHIFT}"
+        assert message == f"step 1: {self.AT_ACTNORM}"
         assert warned == ["overflow encountered in exp"]
 
     def test_inverse(self):
         model = nonfinite_model(16, -1e6)
         z = [Rng(17).normal((2,) + s) for s in model.config.z_shapes()]
         message, warned = error_and_warnings(lambda: model.inverse(z))
-        assert message == self.AT_SHIFT
+        assert message == self.AT_ACTNORM
         assert warned == ["divide by zero encountered in divide"] * 2 + [
             "invalid value encountered in add"]
 

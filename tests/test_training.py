@@ -182,7 +182,7 @@ class TestTrainLoop:
         model, pts, tc = self.make_2d(steps=50, seed=2)
         train(model, pts, tc)
         for step in model.steps[0]:
-            assert np.all(np.isfinite(step.shift.log_scale))
+            assert np.all(np.isfinite(step.actnorm.log_scale))
 
     def test_metrics_csv_shape(self):
         model, pts, tc = self.make_2d(steps=2)
@@ -193,12 +193,18 @@ class TestTrainLoop:
 
     def test_failure_names_step_and_layer(self):
         model, pts, tc = self.make_2d(steps=2)
-        model.steps[0][0].shift.log_scale[:] = 1e3  # exp overflows to inf
+        init = model.init_actnorms
+
+        def init_then_overflow(batch):
+            init(batch)
+            model.steps[0][0].actnorm.log_scale[:] = 1e3  # exp overflows to inf
+
+        model.init_actnorms = init_then_overflow
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as e:
                 train(model, pts, tc)
         msg = str(e.value)
-        assert msg.startswith("step 1: ") and "level0/step0/shift" in msg and "\n" not in msg
+        assert msg.startswith("step 1: ") and "level0/step0/actnorm" in msg and "\n" not in msg
 
     def test_empty_dataset_rejected(self):
         model, _, tc = self.make_2d()
