@@ -116,7 +116,9 @@ def load_images(path) -> ImageDataset:
 
 
 def save_ppm_montage(images: np.ndarray, bits: int, path, cols: int = 8) -> None:
-    """Write a grid of C x H x W integer images as one P6 PPM."""
+    """Write a grid of C x H x W integer images as one P6 PPM: one channel
+    is grey, two are red and green with blue 0, and from three on the first
+    three are RGB."""
     count = images.shape[0]
     c, h, w = images.shape[1:]
     cols = max(1, min(cols, max(count, 1)))
@@ -128,7 +130,8 @@ def save_ppm_montage(images: np.ndarray, bits: int, path, cols: int = 8) -> None
         img = images[i].astype(np.uint16) * scale
         if c == 1:
             img = np.repeat(img, 3, axis=0)
-        canvas[:, r * h:(r + 1) * h, col * w:(col + 1) * w] = img[:3].astype(np.uint8)
+        rgb = img[:3].astype(np.uint8)
+        canvas[:len(rgb), r * h:(r + 1) * h, col * w:(col + 1) * w] = rgb
     header = f"P6\n{canvas.shape[2]} {canvas.shape[1]}\n255\n".encode()
     write_atomic(path, header + canvas.transpose(1, 2, 0).tobytes())
 

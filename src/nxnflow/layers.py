@@ -15,8 +15,11 @@ A flow step's invertible layer is the Inv1x1 mix; the paper's n x n layer
 (a spatial shift, then that mix) is checked only by ``conv_reformulation``.
 The mix and the conditioner's Conv2d run one kernel pair,
 ``tensor.conv`` and ``tensor.conv_backward``; the mix passes its C x C
-matrix as a C x C x 1 x 1 kernel. Per-channel scales are stored as logs,
-so they stay strictly positive and an identity initialization is a zero log.
+matrix as a C x C x 1 x 1 kernel. A coupling's inverse keeps no caches:
+its conditioner, when pointwise (rank-2 mode), runs all three layers one
+block of pixel rows at a time (``ConditionerNet.forward_only``). Per-channel
+scales are stored as logs, so they stay strictly positive and an identity
+initialization is a zero log.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateChannelError, ShapeError, StateError
-from .tensor import Rng, conv, conv_backward, lu_factor, nchw
+from .tensor import ONE_THREAD_MNK, Rng, conv, conv_backward, lu_factor, nchw
 
 
 class ChannelAffine:
@@ -197,6 +200,7 @@ class ConditionerNet:
     makes the coupling start as the identity. ReLU works in place and keeps
     no mask: the next conv caches its output, which is > 0 exactly where
     the pre-activation is, so backward takes the mask from that cache.
+    ``forward_only`` is the cache-free pass the coupling's inverse runs.
     """
 
     def __init__(self, c_in: int, c_out: int, hidden: int, kernel: int, rng: Rng):
@@ -222,6 +226,30 @@ class ConditionerNet:
             h, c = layer.forward(h)
             caches.append(c)
         return h, caches
+
+    def forward_only(self, x):
+        """forward(x)[0] with no caches. A pointwise net (kernel 1) runs all
+        three layers on one block of pixel rows at a time, every product at
+        most ONE_THREAD_MNK multiply-adds, and writes each block's output
+        into one preallocated result, so no N*H*W x hidden array exists. A
+        kernel-3 net runs ``forward``."""
+        if self.layers[0].w.shape[2] != 1:
+            return self.forward(x)[0]
+        n, c, h, w = nchw(x)
+        rows = x.transpose(0, 2, 3, 1).reshape(-1, c)
+        cols = [layer.w[:, :, 0, 0].T for layer in self.layers]
+        d = cols[-1].shape[1]
+        out = np.empty((rows.shape[0], d))
+        block = max(1, ONE_THREAD_MNK // max(m.size for m in cols))
+        for start in range(0, rows.shape[0], block):
+            a = rows[start:start + block]
+            for i, (m, layer) in enumerate(zip(cols, self.layers)):
+                if i:  # relu between the convs
+                    np.maximum(a, 0, out=a)
+                a = np.matmul(a, m)
+                a += layer.b
+            out[start:start + block] = a
+        return out.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
     def backward(self, dout, caches):
         grads = {}
@@ -254,8 +282,8 @@ class Coupling:
     def params(self):
         return {f"net/{k}": v for k, v in self.net.params().items()}
 
-    def _conditioner(self, x_b):
-        raw, caches = self.net.forward(x_b)
+    def _conditioner(self, x_b, keep_caches=True):
+        raw, caches = self.net.forward(x_b) if keep_caches else (self.net.forward_only(x_b), None)
         raw_s, t = raw[:, :self.c_a], raw[:, self.c_a:]
         th = np.tanh(raw_s)
         s = np.exp(th)
@@ -270,9 +298,11 @@ class Coupling:
         return y, th.sum(axis=(1, 2, 3)), cache
 
     def inverse(self, y):
+        """x from y through the conditioner's cache-free ``forward_only``; a
+        pointwise conditioner makes no N*H*W x hidden array."""
         nchw(y)
         y_a, y_b = y[:, :self.c_a], y[:, self.c_a:]
-        s, t, _, _ = self._conditioner(y_b)
+        s, t, _, _ = self._conditioner(y_b, keep_caches=False)
         return np.concatenate([(y_a - t) / s, y_b], axis=1)
 
     def backward(self, dy, dlogdet, cache):

@@ -65,10 +65,14 @@ def suite_layers(seed: int, trials: int = 200, model_trials: int = 20,
     """Round trips, log-det antisymmetry, and finite-difference log-dets."""
     rng = Rng(seed).child("layers")
     results = []
-    for kind in LAYER_KINDS + ("squeeze",):
+    cases = [(kind, lambda r, k=kind: random_layer(k, 4, r), (2, 4, 4, 4))
+             for kind in LAYER_KINDS + ("squeeze",)]
+    # a rank-2 mode coupling whose 300 pixel rows are two conditioner blocks
+    cases.append(("coupling_pointwise",
+                  lambda r: random_layer("coupling", 4, r, hidden=32, kernel=1), (75, 4, 2, 2)))
+    for kind, make_layer, shape in cases:
         rep = verify.roundtrip_suite(
-            lambda r, k=kind: random_layer(k, 4, r),
-            lambda r: r.normal((2, 4, 4, 4)),
+            make_layer, lambda r, s=shape: r.normal(s),
             trials, rng.child(f"roundtrip/{kind}"))
         results.append(CheckResult(f"roundtrip/{kind}", rep.max_reconstruction <= 1e-9,
                                    rep.max_reconstruction, 1e-9))

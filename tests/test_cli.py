@@ -557,6 +557,18 @@ class TestSampleCommand:
         assert ds.bits == 5
         assert os.path.exists(str(dst) + ".ppm")
 
+    def test_two_channel_image_samples(self, tmp_path):
+        cfg = write_cfg(tmp_path, IMAGE_CFG.replace("channels = 3", "channels = 2")
+                        .replace("height = 8", "height = 4").replace("width = 8", "width = 4")
+                        .replace("levels = 2", "levels = 1"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        dst = tmp_path / "samples.nxni"
+        assert main(["sample", "--checkpoint", str(out / "checkpoint.nxnf"), "--n", "3",
+                     "--out", str(dst)]) == 0
+        assert load_images(dst).images.shape == (3, 2, 4, 4)
+        assert (tmp_path / "samples.nxni.ppm").read_bytes().startswith(b"P6\n12 4\n255\n")
+
 
 class TestVerifyCommand:
     def test_conv_equiv_passes(self, capsys):

@@ -130,6 +130,25 @@ class TestPpm:
         raw = p.read_bytes()
         assert raw.startswith(b"P6\n16 16\n255\n")
 
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_montage_channels(self, tmp_path, c):
+        # 1 channel is grey, 2 are red and green, from 3 on the first 3 are RGB
+        imgs = Rng(c).integers(0, 32, (3, c, 4, 5)).astype(np.uint8)
+        p = tmp_path / "grid.ppm"
+        save_ppm_montage(imgs, 5, p, cols=2)
+        header = b"P6\n10 8\n255\n"
+        raw = p.read_bytes()
+        assert raw.startswith(header)
+        canvas = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(8, 10, 3)
+        scaled = imgs.astype(np.uint8) * 8  # 255 // 31
+        rgb = {1: scaled[:, [0, 0, 0]],
+               2: np.concatenate([scaled, np.zeros_like(scaled[:, :1])], axis=1),
+               3: scaled, 4: scaled[:, :3]}[c].transpose(0, 2, 3, 1)
+        np.testing.assert_array_equal(canvas[:4, :5], rgb[0])
+        np.testing.assert_array_equal(canvas[:4, 5:], rgb[1])
+        np.testing.assert_array_equal(canvas[4:, :5], rgb[2])
+        assert not canvas[4:, 5:].any()
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):

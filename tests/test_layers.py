@@ -184,7 +184,7 @@ class TestCoupling:
         layer = Coupling(4, 8, 3, Rng(0))
         c_a = layer.c_a
 
-        def stub(x_b):
+        def stub(x_b, keep_caches=True):
             shape = (x_b.shape[0], c_a) + x_b.shape[2:]
             th = np.full(shape, math.log(2.0))
             return np.exp(th), np.ones(shape), th, None
@@ -365,6 +365,32 @@ class TestConditionerNet:
         assert np.array_equal(y, ref_y) and np.array_equal(dx, ref_dx)
         assert grads.keys() == ref_grads.keys()
         assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+
+    @pytest.mark.parametrize("n, grid", [(0, 1), (1, 1), (256, 1), (64, 2), (1000, 1), (250, 2)])
+    def test_forward_only_pointwise(self, n, grid):
+        # hidden 32 makes 256-row blocks: up to one block the products have
+        # forward's shapes; 1000 rows end in a ragged block of 232
+        rng = Rng(7)
+        net = ConditionerNet(3, 4, 32, 1, rng.child("net"))
+        net.layers[2].w = rng.normal(net.layers[2].w.shape)
+        net.layers[2].b = rng.normal(net.layers[2].b.shape)
+        x = rng.normal((n, 3, grid, grid))
+        x_before = x.copy()
+        out = net.forward_only(x)
+        ref = net.forward(x)[0]
+        assert out.shape == ref.shape == (n, 4, grid, grid)
+        np.testing.assert_array_equal(x, x_before)
+        if n * grid * grid <= 256:
+            np.testing.assert_array_equal(out, ref)
+        else:
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_forward_only_kernel3_is_forward(self):
+        rng = Rng(8)
+        net = ConditionerNet(2, 4, 8, 3, rng.child("net"))
+        net.layers[2].w = rng.normal(net.layers[2].w.shape)
+        x = rng.normal((3, 2, 4, 4))
+        np.testing.assert_array_equal(net.forward_only(x), net.forward(x)[0])
 
 
 class TestSqueezeSplit:

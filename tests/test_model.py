@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -254,6 +255,21 @@ class TestSampling:
         model = random_small_model(Rng(15))
         with pytest.raises(ConfigError):
             model.sample(1, 0.0, Rng(0))
+
+    def test_rank2_sample_keeps_no_full_batch_hidden_array(self):
+        # each conditioner runs one block of 256 rows at a time, so the peak
+        # stays below one N x hidden array of doubles
+        cfg = ModelConfig(mode="rank2", dim=2, depth_k=8, levels=1, hidden_width=32)
+        model = build_model(cfg, 0)
+        model.init_actnorms(Rng(1).normal((256, 2)))
+        n = 20_000
+        tracemalloc.start()
+        try:
+            model.sample(n, 1.0, Rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * cfg.hidden_width * 8
 
 
 def nonfinite_model(seed: int, log_scale: float):
