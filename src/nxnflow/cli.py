@@ -25,29 +25,24 @@ from .tensor import Rng
 from .training import METRICS_HEADER, evaluate_nll, train
 
 
-def _load_train_data(run: RunConfig, model_cfg: ModelConfig, seed: int) -> np.ndarray:
-    kind = run["data.kind"]
-    rng = Rng(seed).child("data")
-    if model_cfg.mode == "rank2":
-        if kind in data_io.GENERATORS_2D:
-            return _checked_points(data_io.gen_2d(kind, run["data.n"], rng).points, kind, model_cfg)
-        if kind == "csv":
-            return _checked_points(data_io.load_points_csv(run["data.path"]), kind, model_cfg)
-        raise ConfigError(f"data.kind {kind!r} is not valid for rank2 mode")
-    if kind == "textures":
-        return _textures(run["data.n"], model_cfg, rng)
-    if kind != "nxni":
-        raise ConfigError(f"data.kind {kind!r} is not valid for image mode")
-    if not run["data.path"]:
-        raise ConfigError("data.kind = nxni requires data.path")
-    return _checked_images(data_io.load_images(run["data.path"]), model_cfg)
-
-
-def _textures(n: int, model_cfg: ModelConfig, rng: Rng) -> np.ndarray:
-    if model_cfg.height != model_cfg.width:
-        raise ConfigError("textures generator needs square images")
-    return _checked_images(data_io.gen_textures(n, model_cfg.channels, model_cfg.height,
-                                                model_cfg.bits, rng), model_cfg)
+def _load_data(kind: str, path: str, n: int, model_cfg: ModelConfig, rng: Rng) -> np.ndarray:
+    """The dataset of `kind`: a generator valid for the mode (n samples drawn
+    from rng), or a file at `path`, csv in rank2 mode and nxni in image mode."""
+    rank2 = model_cfg.mode == "rank2"
+    if rank2 and kind in data_io.GENERATORS_2D:
+        return _checked_points(data_io.gen_2d(kind, n, rng).points, kind, model_cfg)
+    if not rank2 and kind == "textures":
+        if model_cfg.height != model_cfg.width:
+            raise ConfigError("textures generator needs square images")
+        return _checked_images(data_io.gen_textures(n, model_cfg.channels, model_cfg.height,
+                                                    model_cfg.bits, rng), model_cfg)
+    if kind != ("csv" if rank2 else "nxni"):
+        raise ConfigError(f"data.kind {kind!r} is not valid for {model_cfg.mode} mode")
+    if not path:
+        raise ConfigError(f"data.kind = {kind} requires data.path")
+    if rank2:
+        return _checked_points(data_io.load_points_csv(path), kind, model_cfg)
+    return _checked_images(data_io.load_images(path), model_cfg)
 
 
 def _checked_points(pts: np.ndarray, kind: str, model_cfg: ModelConfig) -> np.ndarray:
@@ -96,7 +91,8 @@ def cmd_train(args) -> int:
     run = _run_config_from_args(args)
     model_cfg = run.model_config()
     train_cfg = run.train_config()
-    data = _load_train_data(run, model_cfg, train_cfg.seed)
+    data = _load_data(run["data.kind"], run["data.path"], run["data.n"], model_cfg,
+                      Rng(train_cfg.seed).child("data"))
     ckpt_path = os.path.join(args.out, "checkpoint.nxnf")
     metrics_path = os.path.join(args.out, "metrics.csv")
 
@@ -149,22 +145,14 @@ def _model_from_checkpoint(path):
     return model, model_cfg, loaded
 
 
-def _load_eval_data(spec: str, model_cfg: ModelConfig, seed: int, n: int):
-    if model_cfg.mode == "rank2":
-        if spec in data_io.GENERATORS_2D:
-            return _checked_points(data_io.gen_2d(spec, n, Rng(seed).child("data")).points,
-                                   spec, model_cfg)
-        return _checked_points(data_io.load_points_csv(spec), "csv", model_cfg)
-    if spec == "textures":
-        return _textures(n, model_cfg, Rng(seed).child("data"))
-    return _checked_images(data_io.load_images(spec), model_cfg)
-
-
 def cmd_eval(args) -> int:
     model, model_cfg, _ = _model_from_checkpoint(args.checkpoint)
-    data = _load_eval_data(args.data, model_cfg, args.seed, args.n)
+    rank2 = model_cfg.mode == "rank2"
+    generators = data_io.GENERATORS_2D if rank2 else ("textures",)
+    kind = args.data if args.data in generators else ("csv" if rank2 else "nxni")
+    data = _load_data(kind, args.data, args.n, model_cfg, Rng(args.seed).child("data"))
     nll = evaluate_nll(model, data, model_cfg.bits, args.seed)
-    bits = model_cfg.bits if model_cfg.mode == "image" else 0
+    bits = 0 if rank2 else model_cfg.bits
     bpd = bits_per_dim(nll, model_cfg.input_dims(), bits)
     print(f"nll_nats={nll:.6f} bpd={bpd:.6f}")
     if args.out:
@@ -216,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mean NLL and bits/dim over a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
-                   help="NXNI/CSV path or a 2D generator name")
+                   help="NXNI/CSV path, a 2D generator name (rank2) or textures (image)")
     p.add_argument("--n", type=int, default=4096, help="generator sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional CSV output path")

@@ -12,22 +12,14 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
 
-# key -> (type, default)
+# key -> (type, default). The model.* and train.* entries are the dataclass
+# fields, typed by their defaults (the annotations are strings here).
+# TrainConfig.bits is not a key: image data is dequantized at the model's
+# bit depth, so train_config fills it from model.bits.
 KNOWN_KEYS = {
-    "model.mode": (str, "rank2"),
-    "model.channels": (int, 3),
-    "model.height": (int, 8),
-    "model.width": (int, 8),
-    "model.dim": (int, 2),
-    "model.depth_k": (int, 8),
-    "model.levels": (int, 1),
-    "model.hidden_width": (int, 32),
-    "model.bits": (int, 5),
-    "train.batch_size": (int, 64),
-    "train.steps": (int, 1000),
-    "train.lr": (float, 1e-3),
-    "train.seed": (int, 0),
-    "train.checkpoint_every": (int, 500),
+    **{f"model.{f.name}": (type(f.default), f.default) for f in fields(ModelConfig)},
+    **{f"train.{f.name}": (type(f.default), f.default) for f in fields(TrainConfig)
+       if f.name != "bits"},
     "data.kind": (str, "eight_gaussians"),
     "data.path": (str, ""),
     "data.n": (int, 4096),
@@ -83,19 +75,10 @@ class RunConfig:
         return ModelConfig(**{f.name: self[f"model.{f.name}"] for f in fields(ModelConfig)})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self["train.batch_size"],
-            steps=self["train.steps"],
-            lr=self["train.lr"],
-            seed=self["train.seed"],
-            bits=self["model.bits"],
-            checkpoint_every=self["train.checkpoint_every"],
-        )
+        return TrainConfig(**{f.name: self["model.bits" if f.name == "bits" else f"train.{f.name}"]
+                              for f in fields(TrainConfig)})
 
 
 def model_config_from_text(text: str) -> ModelConfig:
     """Rebuild a ModelConfig from its checkpoint echo."""
-    entries = parse_kv_lines(text)
-    cfg = RunConfig()
-    cfg.update(entries)
-    return cfg.model_config()
+    return RunConfig(parse_kv_lines(text)).model_config()

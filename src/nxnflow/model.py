@@ -27,13 +27,13 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class ModelConfig:
-    mode: str = "image"                # "image" (NCHW) or "rank2" (N x D)
+    mode: str = "rank2"                # "rank2" (N x D) or "image" (NCHW)
     channels: int = 3
     height: int = 8
     width: int = 8
     dim: int = 2                       # rank2 only
     depth_k: int = 8
-    levels: int = 2
+    levels: int = 1
     hidden_width: int = 32
     bits: int = 5                      # image bit depth for dequantization / bpd
 

@@ -146,6 +146,8 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     if not model.param_tree():
         raise ConfigError("model has no learnable parameters (model.depth_k = 0)")
     image_mode = model.config.mode == "image"
+    if image_mode and cfg.bits != model.config.bits:
+        raise ConfigError(f"TrainConfig.bits {cfg.bits} != model bits {model.config.bits}")
     n = data.shape[0]
     if n == 0:
         raise DataError("empty dataset")

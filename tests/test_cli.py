@@ -18,6 +18,7 @@ from nxnflow.errors import ConfigError, FormatError
 from nxnflow.model import ModelConfig, MultiScaleModel, build_model
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
+from nxnflow.training import TrainConfig
 
 RANK2_CFG = """
 # tiny toy run
@@ -107,6 +108,10 @@ class TestConfigParsing:
     def test_model_keys_are_model_config_fields(self):
         keys = {k.split(".", 1)[1] for k in KNOWN_KEYS if k.startswith("model.")}
         assert keys == {f.name for f in dataclasses.fields(ModelConfig)}
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert RunConfig().model_config() == ModelConfig()
+        assert RunConfig().train_config() == TrainConfig()
 
 
 class TestCheckpointFormat:
@@ -412,6 +417,16 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "not UTF-8 at byte offset 19" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["csv", "nxni"])
+    def test_file_kind_without_path_exit_code(self, tmp_path, capsys, kind):
+        base = RANK2_CFG if kind == "csv" else IMAGE_CFG
+        cfg = write_cfg(tmp_path, base + f"data.kind = {kind}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: data.kind = {kind} requires data.path"]
         assert not out.exists()
 
     def test_no_partial_output_on_config_error(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nxnflow.data import gen_2d
-from nxnflow.errors import DataError, FormatError, NumericError
+from nxnflow.errors import ConfigError, DataError, FormatError, NumericError
 from nxnflow.layers import Coupling
 from nxnflow.model import ModelConfig, MultiScaleModel
 from nxnflow.suites import random_layer
@@ -210,6 +210,15 @@ class TestTrainLoop:
         model, _, tc = self.make_2d()
         with pytest.raises(DataError):
             train(model, np.zeros((0, 2)), tc)
+
+    def test_bits_must_match_the_model(self):
+        # image data would be dequantized at TrainConfig.bits but scored at model.bits
+        cfg = ModelConfig(mode="image", channels=2, height=4, width=4, depth_k=1, levels=1,
+                          hidden_width=4, bits=3)
+        model = MultiScaleModel(cfg, Rng(0).child("model_init"))
+        data = Rng(1).integers(0, 8, (8, 2, 4, 4))
+        with pytest.raises(ConfigError, match="bits 5 != model bits 3"):
+            train(model, data, TrainConfig(batch_size=4, steps=1))
 
 
 class TestActNormInitQuality:
