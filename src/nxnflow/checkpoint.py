@@ -14,9 +14,10 @@ Layout (all little-endian):
 The arrays are the model's state tree (learnable parameters and the PLU
 buffers ``p``/``u_sign``) and, when the flag is set, the Adam moments of
 each learnable parameter as ``adam/m/<param>`` and ``adam/v/<param>``.
-Moments with the flag clear, and text fields that are not UTF-8, raise
-FormatError at the offending byte. Version 5 is the only version read;
-versions 1-4 (older moment encodings or ``shift`` arrays) are refused.
+Moments with the flag clear, a repeated array name, and text fields that
+are not UTF-8 raise FormatError at the offending byte. Version 5 is the only
+version read; versions 1-4 (older moment encodings or ``shift`` arrays) are
+refused.
 Round trips are bit-exact; loading refuses a mismatched config echo.
 """
 
@@ -132,8 +133,13 @@ def deserialize(raw: bytes) -> Checkpoint:
     params, adam_m, adam_v = {}, {}, {}
     moment_trees = {"adam/m/": adam_m, "adam/v/": adam_v}
     for _ in range(count):
+        name_at = r.pos
         (name_len,) = r.unpack("<H")
         name = r.text(name_len, "array name")
+        moments = moment_trees.get(name[:7])
+        tree, key = (params, name) if moments is None else (moments, name[7:])
+        if key in tree:
+            raise FormatError(f"array name {name} appears twice", offset=name_at)
         rank_at = r.pos
         (rank,) = r.unpack("<B")
         if rank > MAX_RANK:
@@ -144,12 +150,7 @@ def deserialize(raw: bytes) -> Checkpoint:
         if 8 * math.prod(e for e in shape if e) > MAX_BYTES:
             raise FormatError(f"array shape {shape} is too large", offset=rank_at)
         size = math.prod(shape)
-        arr = np.frombuffer(raw, "<f8", size, r.skip(8 * size)).reshape(shape).copy()
-        moments = moment_trees.get(name[:7])
-        if moments is None:
-            params[name] = arr
-        else:
-            moments[name[7:]] = arr
+        tree[key] = np.frombuffer(raw, "<f8", size, r.skip(8 * size)).reshape(shape).copy()
     flag_at = r.pos
     (has_opt,) = r.unpack("<B")
     if not has_opt and (adam_m or adam_v):

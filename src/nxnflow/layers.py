@@ -7,9 +7,10 @@ Every layer follows one contract:
     backward(dy, dlogdet, cache) -> (dx, grads)
 
 where ``dlogdet`` is dL/dlogdet per sample and ``grads`` mirrors the keys
-of ``params()``. Inputs are rank-4 NCHW arrays; the model runs rank-2
-points as N x D x 1 x 1, so no layer knows a second layout. A rank-2 array
-passed straight to a layer is a ShapeError.
+of ``params()``: attribute paths (``net/conv0/w`` is ``layer.net.conv0.w``)
+that the model rebinds to views of one vector. Inputs are rank-4 NCHW
+arrays; the model runs rank-2 points as N x D x 1 x 1, so no layer knows a
+second layout. A rank-2 array passed straight to a layer is a ShapeError.
 
 A flow step's invertible layer is the Inv1x1 mix; the paper's n x n layer
 (a spatial shift, then that mix) is checked only by ``conv_reformulation``.
@@ -118,11 +119,7 @@ class Inv1x1:
         self._eye = np.eye(channels)
 
     def params(self):
-        return {
-            "l_strict": self.l_strict,
-            "u_off": self.u_off,
-            "log_u_diag": self.log_u_diag,
-        }
+        return {k: getattr(self, k) for k in ("l_strict", "u_off", "log_u_diag")}
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """L (unit lower) and U (upper) from the parameters, and W = P @ L @ U."""
@@ -209,13 +206,11 @@ class ConditionerNet:
             Conv2d(hidden, hidden, kernel, rng.child("conv1")),
             Conv2d(hidden, c_out, kernel, None, zero_init=True),
         ]
+        self.conv0, self.conv1, self.conv2 = self.layers  # the names params() uses
 
     def params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"conv{i}/w"] = layer.w
-            out[f"conv{i}/b"] = layer.b
-        return out
+        return {f"conv{i}/{a}": getattr(layer, a) for i, layer in enumerate(self.layers)
+                for a in ("w", "b")}
 
     def forward(self, x):
         caches = []

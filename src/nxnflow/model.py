@@ -4,7 +4,9 @@ One flow step applies actnorm (a ChannelAffine), then the invertible 1x1
 PLU channel mix, then an affine coupling. The paper's n x n layer (a spatial
 shift composed with that mix) is not a model layer yet. The whole flow is
 one ordered list of named layers with split markers between levels, and
-every pass over the model is one loop over that list. Exact
+every pass over the model is one loop over that list. Every parameter is a
+view of one vector, ``theta``, in ``param_tree()`` order, and
+``loss_and_grads`` returns the gradient as one vector laid out like it. Exact
 log-likelihood is the standard-normal prior term on all latent parts plus
 the accumulated log-determinant.
 Layers see only NCHW tensors; this module alone knows the rank-2 layout:
@@ -13,6 +15,7 @@ N x D points run through the flow as N x D x 1 x 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -134,6 +137,13 @@ def bits_per_dim(nll_nats: float, dims: int, bits: int) -> float:
 SPLIT = ("split", None)
 
 
+def flat_views(flat: np.ndarray, tree: dict) -> dict:
+    """Name -> view of ``flat`` in the shape of ``tree[name]``; the views
+    follow each other in the tree's order."""
+    ends = np.cumsum([a.size for a in tree.values()], dtype=np.intp)
+    return {k: flat[e - a.size:e].reshape(a.shape) for (k, a), e in zip(tree.items(), ends)}
+
+
 class MultiScaleModel:
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
@@ -152,27 +162,26 @@ class MultiScaleModel:
             for k, step in enumerate(steps):
                 self.flow += [(f"level{lev}/step{k}/{kind}", layer)
                               for kind, layer in step.sublayers()]
+        tree = self.param_tree()
+        self.theta = np.concatenate([np.zeros(0), *(a.ravel() for a in tree.values())])
+        views = flat_views(self.theta, tree)
+        for name, layer in self.flow:
+            for pname in layer.params() if layer is not None else ():
+                *path, attr = pname.split("/")
+                setattr(functools.reduce(getattr, path, layer), attr, views[f"{name}/{pname}"])
 
     # -- parameters -------------------------------------------------------
 
     def param_tree(self) -> dict:
-        """Flat name -> live array view of every learnable parameter."""
-        out = {}
-        for name, layer in self.flow:
-            if layer is not None:
-                for pname, arr in layer.params().items():
-                    out[f"{name}/{pname}"] = arr
-        return out
+        """Flat name -> every learnable parameter, a view of ``theta``."""
+        return {f"{name}/{pname}": arr for name, layer in self.flow if layer is not None
+                for pname, arr in layer.params().items()}
 
     def state_tree(self) -> dict:
         """param_tree() plus each 1x1 convolution's fixed PLU factors ``p``
         and ``u_sign``: everything a checkpoint carries about the model."""
-        out = self.param_tree()
-        for name, layer in self.flow:
-            if isinstance(layer, Inv1x1):
-                out[f"{name}/p"] = layer.p
-                out[f"{name}/u_sign"] = layer.u_sign
-        return out
+        return self.param_tree() | {f"{name}/{b}": getattr(layer, b) for name, layer in self.flow
+                                    if isinstance(layer, Inv1x1) for b in ("p", "u_sign")}
 
     def set_state(self, tree: dict) -> None:
         """Copy a saved state tree into the model and mark every actnorm
@@ -306,7 +315,8 @@ class MultiScaleModel:
         return logp
 
     def loss_and_grads(self, x: np.ndarray):
-        """Mean NLL (nats) over the batch and gradients for every parameter."""
+        """(mean NLL in nats over the batch, the gradient of every parameter
+        as one new vector laid out like ``theta``, per-sample NLL)."""
         out, tape = self.forward_with_tape(x)
         n = x.shape[0]
         nll = -(out.logdet + sum(standard_normal_logp(z) for z in out.z_parts))
@@ -314,16 +324,19 @@ class MultiScaleModel:
         # dL/dlogdet_n = -1/n; dL/dz = z/n for every latent part
         dlogdet = np.full(n, -1.0 / n)
         dz_parts = [z / n for z in out.z_parts]
-        grads = {}
+        grad = np.empty_like(self.theta)
+        end = grad.size  # the walk meets param_tree() in reverse, so it fills from the end
         g = dz_parts.pop()
-        for (name, layer), cache in zip(reversed(self.flow), reversed(tape)):
+        for (_, layer), cache in zip(reversed(self.flow), reversed(tape)):
             if layer is None:
                 g = unsplit_channels(g, dz_parts.pop())
                 continue
             g, layer_grads = layer.backward(g, dlogdet, cache)
-            for pname, garr in layer_grads.items():
-                grads[f"{name}/{pname}"] = garr
-        return loss, grads, nll
+            for pname in reversed(layer.params()):
+                garr = layer_grads[pname]
+                end -= garr.size
+                grad[end:end + garr.size].reshape(garr.shape)[...] = garr
+        return loss, grad, nll
 
     def sample(self, n: int, temperature: float, rng: Rng) -> np.ndarray:
         if n < 0:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import verify
 from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze
-from .model import ModelConfig, MultiScaleModel
+from .model import ModelConfig, MultiScaleModel, flat_views
 from .tensor import Rng, conv
 from .verify import CheckResult, StandardConvSpec
 
@@ -47,8 +47,7 @@ def random_small_model(rng: Rng, mode: str = "image") -> MultiScaleModel:
     else:
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=3, levels=1, hidden_width=8)
     model = MultiScaleModel(cfg, rng.child("build"))
-    for name, arr in model.param_tree().items():
-        arr += 0.2 * rng.normal(arr.shape)
+    model.theta += 0.2 * rng.normal(model.theta.shape)
     for steps in model.steps:
         for step in steps:
             step.actnorm.initialized = True
@@ -144,9 +143,9 @@ def suite_gradients(seed: int) -> list[CheckResult]:
     mrng = rng.child("model")
     model = random_small_model(mrng, mode="rank2")
     x = mrng.child("x").normal((4, 2))
-    _, grads, _ = model.loss_and_grads(x)
-    err = verify.check_param_gradients(
-        lambda: float(-model.log_prob(x).mean()), model.param_tree(), grads)
+    params = model.param_tree()
+    err = verify.check_param_gradients(lambda: float(-model.log_prob(x).mean()), params,
+                                       flat_views(model.loss_and_grads(x)[1], params))
     results.append(CheckResult("grad_params/full_model", err <= 1e-5, err, 1e-5))
     return results
 

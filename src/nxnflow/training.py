@@ -1,4 +1,5 @@
-"""Exact maximum-likelihood training: Adam, dequantization, train loop."""
+"""Exact maximum-likelihood training: Adam, dequantization, train loop. A step
+checks and clips one gradient vector and updates ``model.theta`` with it."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .model import MultiScaleModel, bits_per_dim
+from .model import MultiScaleModel, bits_per_dim, flat_views
 from .tensor import Rng
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
@@ -44,32 +45,17 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a named parameter tree.
-
-    Each moment is one flat float64 vector; parameter k owns the slice
-    ``slices[k]`` of it, in the parameter order given at construction.
-    ``m`` and ``v`` map each name to a view of its slice in the
-    parameter's shape, so writing to them writes the state.
-    """
+    """Standard bias-corrected Adam on one flat parameter vector, packed in
+    the order of ``params`` (``model.param_tree()`` for ``model.theta``). Each
+    moment is one vector laid out the same way; ``m`` and ``v`` map each name
+    to a view of its slice, so writing to them writes the state."""
 
     def __init__(self, params: dict, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self.slices, end = {}, 0
-        for k, p in params.items():
-            self.slices[k] = slice(end, end + p.size)
-            end += p.size
-        self._m, self._v = np.zeros(end), np.zeros(end)
-        self.m = {k: self._m[s].reshape(params[k].shape) for k, s in self.slices.items()}
-        self.v = {k: self._v[s].reshape(params[k].shape) for k, s in self.slices.items()}
-
-    def gather(self, grads: dict) -> np.ndarray:
-        """The gradient tree as one new flat vector in parameter order."""
-        g = np.concatenate([grads[k] for k in self.slices], axis=None)
-        if not np.isfinite(g).all():
-            bad = next(k for k, s in self.slices.items() if not np.isfinite(g[s]).all())
-            raise NumericError(f"non-finite gradient of {bad}; step aborted")
-        return g
+        size = sum(p.size for p in params.values())
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self.m, self.v = flat_views(self._m, params), flat_views(self._v, params)
 
     def load_state(self, t: int, m: dict, v: dict) -> None:
         """Continue from saved moments, whose names and shapes must be the
@@ -85,10 +71,10 @@ class Adam:
             self.m[k][...] = m[k]
             self.v[k][...] = v[k]
 
-    def step(self, params: dict, g: np.ndarray) -> None:
-        """One update from the flat gradient vector ``g`` (see ``gather``),
-        which is consumed: it is overwritten with the update. Each parameter
-        array in ``params`` is updated in place."""
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        """One in-place update of the flat parameter vector ``theta`` from
+        the gradient ``g`` laid out like it. ``g`` is consumed: it is
+        overwritten with the update."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -103,9 +89,7 @@ class Adam:
         np.divide(m, bc1, out=g)
         g *= self.lr
         g /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), EPS, out=tmp)
-        for k, s in self.slices.items():
-            p = params[k]
-            p -= g[s].reshape(p.shape)
+        theta -= g
 
 
 def clip_global_norm(g: np.ndarray, max_norm: float) -> float:
@@ -177,7 +161,7 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
 
     if resume is None:
         model.init_actnorms(get_batch())
-    params = model.param_tree()  # live arrays, updated in place by every step
+    params = model.param_tree()  # name -> view of model.theta
     opt = Adam(params, cfg.lr)
     if resume is not None:
         opt.load_state(resume.adam_t, resume.adam_m, resume.adam_v)
@@ -187,15 +171,16 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     for step in range(start_step + 1, start_step + cfg.steps + 1):
         batch = get_batch()
         try:
-            loss, grads, _ = model.loss_and_grads(batch)
+            loss, g, _ = model.loss_and_grads(batch)
             if not math.isfinite(loss):
                 raise NumericError("non-finite loss; aborting")
-            g = opt.gather(grads)
+            if not np.isfinite(g).all():
+                bad = next(k for k, a in flat_views(g, params).items() if not np.isfinite(a).all())
+                raise NumericError(f"non-finite gradient of {bad}; step aborted")
         except NumericError as e:
             raise NumericError(f"step {step}: {e}") from None
-        del grads  # the flat copy is all the update needs
         gnorm = clip_global_norm(g, CLIP_NORM)
-        opt.step(params, g)
+        opt.step(model.theta, g)
         del g  # no gradient stays alive through the next forward pass
         row = MetricsRow(step, loss, bits_per_dim(loss, dims, cfg.bits if image_mode else 0),
                          gnorm, time.monotonic() - t0)
@@ -212,17 +197,22 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
 
 def evaluate_nll(model: MultiScaleModel, data: np.ndarray, bits: int, seed: int,
                  batch_size: int = 256) -> float:
-    """Mean NLL in nats over a dataset, with seeded dequantization."""
+    """Mean NLL in nats over a dataset, with seeded dequantization and numpy's
+    warnings off. A non-finite NLL is a NumericError naming the batch."""
     rng = Rng(seed).child("eval_dequantize")
     image_mode = model.config.mode == "image"
-    total, count = 0.0, 0
-    for start in range(0, data.shape[0], batch_size):
+    if data.shape[0] == 0:
+        raise DataError("empty dataset")
+    total = 0.0
+    for b, start in enumerate(range(0, data.shape[0], batch_size)):
         batch = data[start:start + batch_size]
         if image_mode:
             batch = dequantize(batch, bits, rng)
-        lp = model.log_prob(np.asarray(batch, dtype=np.float64))
-        total += float(-lp.sum())
-        count += batch.shape[0]
-    if count == 0:
-        raise DataError("empty dataset")
-    return total / count
+        try:
+            with np.errstate(all="ignore"):
+                total += float(-model.log_prob(np.asarray(batch, dtype=np.float64)).sum())
+            if not math.isfinite(total):
+                raise NumericError("non-finite NLL")
+        except NumericError as e:
+            raise NumericError(f"eval batch {b} (first row {start}): {e}") from None
+    return total / data.shape[0]

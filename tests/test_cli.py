@@ -4,6 +4,7 @@ import os
 import pathlib
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,28 @@ class TestCheckpointFormat:
         assert main(["sample", "--checkpoint", str(p), "--out", str(tmp_path / "s")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"offset {offset}" in err[0]
+
+    def test_repeated_array_name_names_offset(self, tmp_path, capsys):
+        # a second copy of an array would otherwise replace the first on load
+        ck = untrained_checkpoint(build_model(ModelConfig(mode="rank2", dim=2, depth_k=2,
+                                                          levels=1, hidden_width=8), 0))
+        raw = ckpt_io.serialize(ck)
+        name = b"level0/step0/actnorm/bias"
+        record = struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 2)
+        record += np.full(2, 100.0).astype("<f8").tobytes()
+        at = len(raw) - 1 - 4 - len(ck.rng_state.encode())  # the flag, rng length and state
+        count_at = 12 + len(ck.config_text.encode()) + 8
+        raw = bytearray(raw[:at] + record + raw[at:])
+        raw[count_at:count_at + 4] = struct.pack("<I", len(ck.params) + 1)
+        with pytest.raises(FormatError, match="level0/step0/actnorm/bias appears twice") as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == at
+        p = tmp_path / "twice.nxnf"
+        p.write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians",
+                     "--n", "64"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"offset {at}" in err[0]
 
     def test_rank_above_limit_names_offset(self):
         # 65 zero extents: an empty payload, then a 65-dimensional reshape
@@ -502,6 +525,21 @@ class TestEvalCommand:
         assert main(args) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["config error: textures generator needs square images"]
+
+    @pytest.mark.parametrize("log_scale, named", [
+        (354.0, "non-finite NLL"),                      # the prior's z * z overflows
+        (1e6, "non-finite activation at level0/step0/actnorm"),  # exp overflows
+    ], ids=["prior", "layer"])
+    def test_nonfinite_nll_exit_code(self, tmp_path, capsys, log_scale, named):
+        ck = rank2_checkpoint(tmp_path, log_scale=log_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning besides the message
+            assert main(["eval", "--checkpoint", ck, "--data", "eight_gaussians",
+                         "--n", "512"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"numeric error: eval batch 0 (first row 0): {named}"]
 
     def test_csv_dimension_mismatch_exit_code(self, trained, tmp_path, capsys):
         data = tmp_path / "three.csv"

@@ -11,7 +11,7 @@ import pytest
 from nxnflow.errors import ConfigError, FormatError, NumericError, ShapeError
 from nxnflow.layers import squeeze2x2
 from nxnflow.model import (ModelConfig, MultiScaleModel, bits_per_dim, build_model,
-                           standard_normal_logp)
+                           flat_views, standard_normal_logp)
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
 from nxnflow.training import TrainConfig, train
@@ -127,6 +127,33 @@ class TestStateTree:
             for pname, arr in step.actnorm.params().items():
                 assert np.any(arr != 0.0)
                 np.testing.assert_array_equal(tree[f"level0/step{k}/actnorm/{pname}"], arr)
+
+    def test_every_parameter_is_a_view_of_theta(self):
+        # actnorm init, set_state and training write into the parameters in
+        # place, so each stays the view of model.theta at its param_tree() slot
+        cfg = ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1, hidden_width=4)
+        pts = Rng(1).normal((64, 2))
+
+        def assert_views_of_theta(model):
+            tree = model.param_tree()
+            model.state_tree()  # adds the PLU buffers to its own copy only
+            assert not any(k.endswith(("/p", "/u_sign")) for k in tree)
+            assert model.theta.size == sum(a.size for a in tree.values())
+            for k, view in flat_views(model.theta, tree).items():
+                arr = tree[k]
+                assert (arr.ctypes.data, arr.shape, arr.strides) == (
+                    view.ctypes.data, view.shape, view.strides), k
+
+        model = build_model(cfg, 0)
+        assert_views_of_theta(model)
+        model.init_actnorms(pts)
+        assert_views_of_theta(model)
+        trained = build_model(cfg, 1)
+        train(trained, pts, TrainConfig(batch_size=16, steps=2))
+        assert_views_of_theta(trained)
+        model.set_state({k: v.copy() for k, v in trained.state_tree().items()})
+        assert_views_of_theta(model)
+        np.testing.assert_array_equal(model.theta, trained.theta)
 
 
 class TestStructure:

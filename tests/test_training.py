@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from nxnflow.data import gen_2d
 from nxnflow.errors import ConfigError, DataError, FormatError, NumericError
 from nxnflow.layers import Coupling
-from nxnflow.model import ModelConfig, MultiScaleModel
-from nxnflow.suites import random_layer
+from nxnflow.model import ModelConfig, MultiScaleModel, flat_views
+from nxnflow.suites import random_layer, random_small_model
 from nxnflow.tensor import Rng
-from nxnflow.training import (Adam, TrainConfig, clip_global_norm, dequantize, train)
+from nxnflow.training import (Adam, TrainConfig, clip_global_norm, dequantize, evaluate_nll,
+                               train)
 
 
 class TestDequantize:
@@ -60,24 +62,36 @@ def per_array_adam(params, grad_steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        params = {"p": Rng(0).normal((5,))}
-        ref = params["p"].copy()
-        opt = Adam(params)
-        opt.step(params, opt.gather({"p": np.zeros(5)}))
-        np.testing.assert_array_equal(params["p"], ref)
+        theta = Rng(0).normal((5,))
+        ref = theta.copy()
+        opt = Adam({"p": theta})
+        opt.step(theta, np.zeros(5))
+        np.testing.assert_array_equal(theta, ref)
 
     def test_first_step_magnitude(self):
-        params = {"p": np.zeros(3)}
-        opt = Adam(params, lr=1e-3)
-        opt.step(params, opt.gather({"p": np.ones(3)}))
+        theta = np.zeros(3)
+        opt = Adam({"p": theta}, lr=1e-3)
+        opt.step(theta, np.ones(3))
         # bias-corrected first step: -lr * g / (|g| + eps) ~= -1e-3
-        np.testing.assert_allclose(params["p"], -1e-3, rtol=1e-6)
+        np.testing.assert_allclose(theta, -1e-3, rtol=1e-6)
 
     def test_nonfinite_gradient_aborts(self):
-        params = {"p": np.zeros(2)}
-        opt = Adam(params)
-        with pytest.raises(NumericError, match="gradient of p"):
-            opt.gather({"p": np.array([1.0, np.nan])})
+        # train checks the gradient vector before Adam sees it, names the
+        # parameter that holds the first non-finite entry and updates nothing
+        model, pts, tc = TestTrainLoop().make_2d(steps=2)
+        loss_and_grads, theta_at_step = model.loss_and_grads, []
+
+        def nan_in_one_parameter(x):
+            theta_at_step.append(model.theta.copy())
+            loss, g, nll = loss_and_grads(x)
+            flat_views(g, model.param_tree())["level0/step1/mix/u_off"][0, 1] = np.nan
+            return loss, g, nll
+
+        model.loss_and_grads = nan_in_one_parameter
+        with pytest.raises(NumericError,
+                           match="^step 1: non-finite gradient of level0/step1/mix/u_off;"):
+            train(model, pts, tc)
+        np.testing.assert_array_equal(model.theta, theta_at_step[0])
 
     def test_clip_global_norm(self):
         g = np.concatenate([np.full(4, 100.0), np.full(9, 100.0)])
@@ -88,14 +102,18 @@ class TestAdam:
     def test_flat_update_matches_per_array_formula(self):
         shapes = {"conv/w": (3, 2, 3, 3), "conv/b": (3,), "mix": (2, 2), "one": (1,)}
         rng = Rng(0)
-        params = {k: rng.normal(s) for k, s in shapes.items()}
-        ref = {k: p.copy() for k, p in params.items()}
+        ref = {k: rng.normal(s) for k, s in shapes.items()}
+        theta = np.concatenate([p.ravel() for p in ref.values()])
+        params = flat_views(theta, ref)
         # conv-like weight gradients arrive as non-contiguous views
         grad_steps = [{k: (rng.normal(s[::-1]).T if len(s) > 2 else rng.normal(s))
                        for k, s in shapes.items()} for _ in range(6)]
         opt = Adam(params, lr=1e-2)
         for grads in grad_steps:
-            opt.step(params, opt.gather(grads))
+            g = np.empty_like(theta)  # laid out as loss_and_grads lays it out
+            for k, view in flat_views(g, params).items():
+                view[...] = grads[k]
+            opt.step(theta, g)
         ref_m, ref_v = per_array_adam(ref, grad_steps, lr=1e-2)
         assert opt.t == 6
         for k in shapes:
@@ -219,6 +237,20 @@ class TestTrainLoop:
         data = Rng(1).integers(0, 8, (8, 2, 4, 4))
         with pytest.raises(ConfigError, match="bits 5 != model bits 3"):
             train(model, data, TrainConfig(batch_size=4, steps=1))
+
+
+class TestEvaluate:
+    def test_nonfinite_nll_names_the_batch(self):
+        # z * z overflows for a point at 1e200, so log_prob is -inf there
+        model = random_small_model(Rng(0), mode="rank2")
+        data = Rng(1).normal((10, 2))
+        data[5, 0] = 1e200
+        assert math.isfinite(evaluate_nll(model, data[:4], 0, 0, batch_size=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=r"^eval batch 1 \(first row 4\): non-finite NLL$"):
+                evaluate_nll(model, data, 0, 0, batch_size=4)
 
 
 class TestActNormInitQuality:
