@@ -46,7 +46,7 @@ def _load_data(kind: str, path: str, n: int, model_cfg: ModelConfig, rng: Rng) -
 
 
 def _checked_points(pts: np.ndarray, kind: str, model_cfg: ModelConfig) -> np.ndarray:
-    if pts.shape[1] != model_cfg.dim:
+    if len(pts) and pts.shape[1] != model_cfg.dim:  # no rows: train/eval say "empty dataset"
         raise ConfigError(f"{kind} dimension {pts.shape[1]} != model dim {model_cfg.dim}")
     return pts
 

@@ -143,8 +143,12 @@ class Inv1x1:
         # The C x C inverse, then the forward's channel product. A triangular
         # solve over all N*H*W fibers runs OpenBLAS's multi-threaded trsm even
         # for a 2 x 2 matrix, and its woken worker keeps spinning on another
-        # CPU after the call returns.
-        return conv(y, np.linalg.inv(self.matrix)[:, :, None, None])
+        # CPU after the call returns. A singular matrix gives a NaN output,
+        # which the model's checked rerun reports with this layer's name.
+        try:
+            return conv(y, np.linalg.inv(self.matrix)[:, :, None, None])
+        except np.linalg.LinAlgError:
+            return np.full_like(y, np.nan)
 
     def backward(self, dy, dlogdet, cache):
         x, lower, upper = cache["x"], cache["lower"], cache["upper"]

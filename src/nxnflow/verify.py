@@ -2,10 +2,11 @@
 shifted-1x1 convolution reformulation check, round trips, and density
 normalization by grid quadrature.
 
-These deliberately avoid the analytic code paths they certify: Jacobians
-are built entry by entry from central differences, the convolution check
-compares a brute-force sliding window against the shifted-sum and fused
-forms, and quadrature integrates exp(log_prob) on a dense grid.
+These deliberately avoid the analytic code paths they certify: Jacobians and
+gradients come entry by entry from ``central_differences``, the one
+perturb-evaluate-restore loop, at the fixed step ``FD_STEP``; the convolution
+check compares a brute-force sliding window against the shifted-sum and
+fused forms, and quadrature integrates exp(log_prob) on a dense grid.
 """
 
 from __future__ import annotations
@@ -32,27 +33,32 @@ class CheckResult:
         return f"{self.name},{status},{self.metric:.6e},{self.threshold:.6e}"
 
 
-def numerical_jacobian(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def central_differences(f, flat: np.ndarray) -> np.ndarray:
+    """Row i is (f+ - f-) / (2 FD_STEP): f() with flat[i] moved by +FD_STEP
+    and by -FD_STEP in place, then restored bit-exactly. f reads the live
+    vector ``flat`` and may return a scalar or an array."""
+    rows = []
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + FD_STEP
+        fp = f()
+        flat[i] = orig - FD_STEP
+        fm = f()
+        flat[i] = orig
+        rows.append((fp - fm) / (2.0 * FD_STEP))
+    return np.array(rows)
+
+
+def numerical_jacobian(f, x: np.ndarray) -> np.ndarray:
     """Dense Jacobian of f at x by central differences; rows = outputs."""
     x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    if d > 64:
-        raise ShapeError(f"jacobian build capped at 64 dims, got {d}")
-    y0 = np.asarray(f(x)).ravel()
-    jac = np.empty((y0.size, d))
+    if x.size > 64:
+        raise ShapeError(f"jacobian build capped at 64 dims, got {x.size}")
     flat = x.ravel().copy()
-    for i in range(d):
-        orig = flat[i]
-        flat[i] = orig + h
-        yp = np.asarray(f(flat.reshape(x.shape))).ravel()
-        flat[i] = orig - h
-        ym = np.asarray(f(flat.reshape(x.shape))).ravel()
-        flat[i] = orig
-        jac[:, i] = (yp - ym) / (2.0 * h)
-    return jac
+    return central_differences(lambda: np.asarray(f(flat.reshape(x.shape))).ravel(), flat).T
 
 
-def numerical_logdet(layer, x: np.ndarray, h: float = FD_STEP) -> float:
+def numerical_logdet(layer, x: np.ndarray) -> float:
     """slogdet of the finite-difference Jacobian of a layer's forward map.
 
     x is a single sample (no batch axis); the layer sees a batch of one.
@@ -61,7 +67,7 @@ def numerical_logdet(layer, x: np.ndarray, h: float = FD_STEP) -> float:
         y, _, _ = layer.forward(xi[None])
         return y[0]
 
-    jac = numerical_jacobian(f, x, h)
+    jac = numerical_jacobian(f, x)
     sign, logabs = lu_slogdet(jac)
     if sign == 0:
         raise ShapeError("numerical Jacobian is singular")
@@ -194,36 +200,14 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def check_param_gradients(loss_fn, params: dict, analytic: dict,
-                          h: float = FD_STEP) -> float:
+def check_param_gradients(loss_fn, params: dict, analytic: dict) -> float:
     """Max relative error of analytic parameter gradients vs central
     differences of loss_fn(), which must read the live `params` arrays."""
-    worst = 0.0
-    for name, arr in params.items():
-        flat = arr.ravel()
-        num = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_fn()
-            flat[i] = orig - h
-            lm = loss_fn()
-            flat[i] = orig
-            num[i] = (lp - lm) / (2.0 * h)
-        worst = max(worst, relative_error(analytic[name].ravel(), num))
-    return worst
+    return max((relative_error(analytic[name].ravel(), central_differences(loss_fn, arr.ravel()))
+                for name, arr in params.items()), default=0.0)
 
 
-def check_input_gradient(loss_of_x, x: np.ndarray, analytic: np.ndarray,
-                         h: float = FD_STEP) -> float:
+def check_input_gradient(loss_of_x, x: np.ndarray, analytic: np.ndarray) -> float:
     flat = x.ravel().copy()
-    num = np.empty_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        lp = loss_of_x(flat.reshape(x.shape))
-        flat[i] = orig - h
-        lm = loss_of_x(flat.reshape(x.shape))
-        flat[i] = orig
-        num[i] = (lp - lm) / (2.0 * h)
-    return relative_error(analytic.ravel(), num)
+    return relative_error(analytic.ravel(),
+                          central_differences(lambda: loss_of_x(flat.reshape(x.shape)), flat))

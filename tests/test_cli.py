@@ -63,11 +63,14 @@ def untrained_checkpoint(model):
                               None, {}, {}, Rng(0).state_json())
 
 
-def rank2_checkpoint(tmp_path, log_scale=0.0):
-    """An untrained rank2 checkpoint whose first actnorm has the given log_scale."""
-    model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+def rank2_checkpoint(tmp_path, log_scale=0.0, log_u_diag=None, dim=2):
+    """An untrained rank2 checkpoint whose first actnorm has the given log_scale
+    and, when log_u_diag is given, whose first mix has that log_u_diag."""
+    model = build_model(ModelConfig(mode="rank2", dim=dim, depth_k=2, levels=1,
                                     hidden_width=8), 0)
     model.steps[0][0].actnorm.log_scale[:] = log_scale
+    if log_u_diag is not None:
+        model.steps[0][0].mix.log_u_diag[:] = log_u_diag
     p = tmp_path / "m.nxnf"
     ckpt_io.save(untrained_checkpoint(model), p)
     return str(p)
@@ -487,6 +490,21 @@ class TestFileErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "line 2: not a finite number" in err[0]
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_csv_exit_code(self, tmp_path, capsys, command, dim):
+        # a file with no rows has no dimension to mismatch, at any model.dim
+        data = tmp_path / "empty.csv"
+        data.write_text("\n")
+        if command == "train":
+            cfg = write_cfg(tmp_path, RANK2_CFG.replace("model.dim = 2", f"model.dim = {dim}")
+                            + f"data.kind = csv\ndata.path = {data}\n")
+            args = ["train", "--config", cfg, "--out", str(tmp_path / "run")]
+        else:
+            args = ["eval", "--checkpoint", rank2_checkpoint(tmp_path, dim=dim), "--data", str(data)]
+        assert main(args) == 3
+        assert capsys.readouterr().err.strip().splitlines() == ["data error: empty dataset"]
+
 
 class TestEvalCommand:
     @pytest.fixture()
@@ -599,6 +617,15 @@ class TestSampleCommand:
         with np.errstate(divide="ignore", invalid="ignore"):
             assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 4
         assert "level0/step0/actnorm" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_singular_mix_exit_code(self, tmp_path, capsys):
+        # exp(-1e4) underflows to 0, so the first mix matrix is exactly singular
+        ck = rank2_checkpoint(tmp_path, log_u_diag=-1e4)
+        dst = tmp_path / "s.csv"
+        assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 4
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "numeric error: non-finite activation at level0/step0/mix"]
         assert not dst.exists()
 
     def test_image_samples_with_montage(self, trained_image, tmp_path):

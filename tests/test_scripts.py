@@ -39,3 +39,21 @@ def test_run_checks(capsys, monkeypatch):
     assert run_script("run_checks", ["--seed", "0"], monkeypatch) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows and all(row.split(",")[1] == "pass" for row in rows)
+    # every oracle row, in report order: a lost or renamed row fails here
+    assert [row.split(",")[0] for row in rows] == [
+        "roundtrip/actnorm", "logdet_antisymmetry/actnorm",
+        "roundtrip/shift", "logdet_antisymmetry/shift",
+        "roundtrip/inv1x1_plu", "logdet_antisymmetry/inv1x1_plu",
+        "roundtrip/coupling", "logdet_antisymmetry/coupling",
+        "roundtrip/squeeze", "logdet_antisymmetry/squeeze",
+        "roundtrip/coupling_pointwise", "logdet_antisymmetry/coupling_pointwise",
+        "roundtrip/full_model",
+        "fd_logdet/actnorm", "fd_logdet/shift", "fd_logdet/inv1x1_plu", "fd_logdet/coupling",
+        "shift_jacobian_offdiagonal",
+        "grad_params/actnorm", "grad_input/actnorm", "grad_params/shift", "grad_input/shift",
+        "grad_params/inv1x1_plu", "grad_input/inv1x1_plu",
+        "grad_params/coupling", "grad_input/coupling",
+        "grad_params/full_model",
+        "conv_reformulation", "conv_equiv/kernel",
+        "quadrature/empty_flow", "quadrature/init_model",
+    ]

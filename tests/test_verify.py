@@ -4,13 +4,38 @@ import numpy as np
 import pytest
 
 from nxnflow.layers import ChannelAffine
-from nxnflow.model import ModelConfig, MultiScaleModel
-from nxnflow.suites import random_conv_spec, random_layer
+from nxnflow.model import ModelConfig, MultiScaleModel, flat_views
+from nxnflow.suites import random_conv_spec, random_layer, random_small_model
 from nxnflow.tensor import Rng
-from nxnflow.verify import (CheckResult, StandardConvSpec, conv_reformulation_check,
+from nxnflow.verify import (CheckResult, StandardConvSpec, central_differences,
+                            check_param_gradients, conv_reformulation_check,
                             direct_convolution, numerical_jacobian, numerical_logdet,
                             quadrature_normalization, roundtrip_suite,
                             shifted_sum_convolution)
+
+
+class TestCentralDifferences:
+    def test_smooth_gradient_and_restore(self):
+        flat = Rng(3).normal((6,))
+        before = flat.copy()
+        grad = central_differences(lambda: float(flat @ flat + (flat ** 3).sum()), flat)
+        np.testing.assert_allclose(grad, 2 * before + 3 * before ** 2, rtol=0, atol=1e-8)
+        assert flat.tobytes() == before.tobytes()
+
+    def test_array_valued_rows(self):
+        flat = Rng(4).normal((3,))
+        jac = central_differences(lambda: np.array([flat.sum(), 2.0 * flat[1]]), flat)
+        np.testing.assert_allclose(jac, [[1, 0], [1, 2], [1, 0]], rtol=0, atol=1e-8)
+
+    def test_param_check_restores_theta(self):
+        model = random_small_model(Rng(5), mode="rank2")
+        x = Rng(6).normal((4, 2))
+        before = model.theta.copy()
+        params = model.param_tree()
+        analytic = flat_views(model.loss_and_grads(x)[1], params)
+        assert check_param_gradients(lambda: float(-model.log_prob(x).mean()),
+                                     params, analytic) < 1e-5
+        assert model.theta.tobytes() == before.tobytes()
 
 
 class TestNumericalLogdet:
