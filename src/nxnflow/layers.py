@@ -16,7 +16,8 @@ A flow step's invertible layer is the Inv1x1 mix; the paper's n x n layer
 (a spatial shift, then that mix) is checked only by ``conv_reformulation``.
 The mix and the conditioner's Conv2d run one kernel pair,
 ``tensor.conv`` and ``tensor.conv_backward``; the mix passes its C x C
-matrix as a C x C x 1 x 1 kernel. A coupling's inverse keeps no caches:
+matrix as a C x C x 1 x 1 kernel, and a kernel-3 conditioner on a grid of
+fewer than 9 pixels runs as one dense product per sample. A coupling's inverse keeps no caches:
 its conditioner, when pointwise (rank-2 mode), runs all three layers one
 block of pixel rows at a time (``ConditionerNet.forward_only``). Per-channel
 scales are stored as logs, so they stay strictly positive and an identity
@@ -169,9 +170,10 @@ class Conv2d:
     """Plain 3x3 / 1x1 convolution with zero padding and a bias.
 
     Forward and backward are ``tensor.conv`` and ``tensor.conv_backward``,
-    the kernel pair the 1x1 mix runs too: one product of pixel patch rows
-    with the kernel columns in one-thread blocks, viewed as NCHW. The cache
-    holds only the input, and backward rebuilds its patches.
+    the kernel pair the 1x1 mix runs too: one product in one-thread blocks,
+    viewed as NCHW, of pixel patch rows with the kernel columns, or on a grid
+    of fewer than k*k pixels of sample rows with the whole convolution's
+    matrix. The cache holds only the input, and backward rebuilds the rest.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: Rng | None,

@@ -139,6 +139,12 @@ def suite_gradients(seed: int) -> list[CheckResult]:
         perr, xerr = layer_loss_gradients(layer, x, krng.child("loss"))
         results.append(CheckResult(f"grad_params/{kind}", perr <= 1e-5, perr, 1e-5))
         results.append(CheckResult(f"grad_input/{kind}", xerr <= 1e-5, xerr, 1e-5))
+    # a kernel-3 coupling on a 2x2 grid, smaller than its kernel: the dense conv path
+    krng = rng.child("coupling_2x2")
+    layer = random_layer("coupling", 4, krng.child("layer"), hidden=6)
+    perr, xerr = layer_loss_gradients(layer, krng.child("x").normal((2, 4, 2, 2)), krng.child("loss"))
+    results.append(CheckResult("grad_params/coupling_2x2", perr <= 1e-5, perr, 1e-5))
+    results.append(CheckResult("grad_input/coupling_2x2", xerr <= 1e-5, xerr, 1e-5))
     # whole-model NLL gradient on a tiny rank-2 model, entry by entry over theta
     mrng = rng.child("model")
     model = random_small_model(mrng, mode="rank2")

@@ -2,19 +2,22 @@
 
 Tensors are plain ``numpy.ndarray`` values in one layout: rank-4
 batch-major NCHW (batch, channel, row, column). Every channel product in
-the model, the 1x1 mix included, is ``conv``: the N*H*W x k*k*C_in patch
-rows times the kernel as k*k*C_in x C_out columns, in one-thread blocks,
-viewed as NCHW. All math is done in 64-bit floats so the finite-difference
+the model, the 1x1 mix included, is ``conv``: one product in one-thread
+blocks, viewed as NCHW, of the N*H*W x k*k*C_in patch rows with the kernel
+as k*k*C_in x C_out columns or, on a grid of fewer than k*k pixels, of the
+N x H*W*C_in sample rows with the H*W*C_in x H*W*C_out matrix of the whole
+convolution. All math is done in 64-bit floats so the finite-difference
 oracles have headroom.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -53,48 +56,78 @@ def _row_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _patches(x: np.ndarray, k: int) -> np.ndarray:
     """N x C x H x W -> N*H*W x k*k*C: row (n*H + i)*W + j holds the
     zero-padded k x k neighbourhood of pixel (i, j) of sample n, ordered
-    (row tap, column tap, channel) like the kernel columns of ``conv``. Each
-    tap's C channels are contiguous, so the one copy that builds the matrix
-    moves runs of C doubles. For k = 1 the rows are the pixels' channel
-    fibers, a view when x is channels-last in memory."""
+    (row tap, column tap, channel) like the kernel columns of ``conv``. A
+    tap row's k*C values are contiguous in the padded channels-last copy, so
+    the one copy that builds the matrix moves runs of k*C doubles. For k = 1
+    the rows are the pixels' channel fibers, a view when x is channels-last
+    in memory."""
     n, c, h, w = nchw(x)
     if k == 1:
         return x.transpose(0, 2, 3, 1).reshape(-1, c)
     pad = k // 2
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # N x H x W x C x k x k
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+    sn, si, sj, sc = xp.strides
+    rows = as_strided(xp, (n, h, w, k, k * c), (sn, si, sj, si, sc), writeable=False)
+    return rows.reshape(n * h * w, k * k * c)
+
+
+@functools.cache
+def _taps(h: int, w: int, k: int) -> np.ndarray:
+    """The read-only k*k x (h*w)^2 0/1 matrix whose entry (t, q*h*w + p) is 1
+    iff tap t of output pixel p reads input pixel q (raster orders)."""
+    i, j = np.divmod(np.arange(h * w), w)
+    a, b = np.divmod(np.arange(k * k)[:, None], k)
+    qi, qj = i + a - k // 2, j + b - k // 2
+    q = np.where((0 <= qi) & (qi < h) & (0 <= qj) & (qj < w), qi * w + qj, -1)
+    taps = (q[:, None, :] == np.arange(h * w)[:, None]).astype(float).reshape(k * k, -1)
+    taps.flags.writeable = False
+    return taps
 
 
 def conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """x convolved with a C_out x C_in x k x k kernel (odd k, stride 1, zero
     padding to the same extents, no bias); a 1x1 kernel is a channel matrix.
-    The result is an NCHW view of channels-last memory."""
+    On a grid of fewer than k*k pixels it is one dense product per sample, so
+    no padding tap is copied or multiplied. The result is an NCHW view of
+    channels-last memory."""
     n, c, h, w = nchw(x)
     if kernel.ndim != 4 or kernel.shape[1] != c or kernel.shape[2] != kernel.shape[3]:
         raise ShapeError(f"kernel {kernel.shape} does not fit {c} input channels")
-    d, k = kernel.shape[0], kernel.shape[2]
-    y = _row_product(_patches(x, k), kernel.transpose(2, 3, 1, 0).reshape(-1, d))
+    d, k, p = kernel.shape[0], kernel.shape[2], h * w
+    cols = kernel.transpose(2, 3, 1, 0).reshape(-1, d)
+    if 1 < k and p < k * k:  # the (input pixel, channel) x (output pixel, channel) matrix
+        cols = (_taps(h, w, k).T @ cols.reshape(k * k, c * d)).reshape(p, p, c, d)
+        y = _row_product(x.transpose(0, 2, 3, 1).reshape(n, p * c),
+                         cols.transpose(0, 2, 1, 3).reshape(p * c, p * d))
+    else:
+        y = _row_product(_patches(x, k), cols)
     return y.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
 
 def conv_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray):
     """(dx, dkernel): the adjoints of conv(x, kernel) for the output
-    gradient dy. dkernel is one product of dy's pixel rows, transposed, with
-    the patch rows; dx is dy convolved with the flipped, channel-transposed
-    kernel, which at k = 1 is dy's pixel rows times the C_out x C_in matrix."""
+    gradient dy. dx is dy convolved with the flipped, channel-transposed
+    kernel, which at k = 1 is dy's pixel rows times the C_out x C_in matrix.
+    dkernel is one product of dy's pixel rows, transposed, with the patch
+    rows; on a grid of fewer than k*k pixels, the tap matrix times X^T dY."""
     d, c, k, _ = kernel.shape
     if nchw(dy)[:2] != (x.shape[0], d) or dy.shape[2:] != x.shape[2:]:
         raise ShapeError(f"gradient {dy.shape} does not fit input {x.shape}")
-    rows = _patches(dy, 1)
-    dkernel = rows.T @ _patches(x, k)
+    n, _, h, w = dy.shape
+    p = h * w
+    if 1 < k and p < k * k:  # X^T dY: (input pixel, channel) x (output pixel, channel)
+        xty = x.transpose(0, 2, 3, 1).reshape(n, p * c).T @ dy.transpose(0, 2, 3, 1).reshape(n, p * d)
+        dkernel = _taps(h, w, k) @ xty.reshape(p, c, p, d).transpose(0, 2, 1, 3).reshape(p * p, c * d)
+        dkernel = dkernel.reshape(k, k, c, d).transpose(3, 0, 1, 2)
+    else:
+        rows = _patches(dy, 1)
+        dkernel = (rows.T @ _patches(x, k)).reshape(d, k, k, c)
     if k == 1:
-        n, _, h, w = dy.shape
         dx = _row_product(rows, kernel[:, :, 0, 0]).reshape(n, h, w, c).transpose(0, 3, 1, 2)
     else:
         dx = conv(dy, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return dx, dkernel.reshape(d, k, k, c).transpose(0, 3, 1, 2)
+    return dx, dkernel.transpose(0, 3, 1, 2)
 
 
 def lu_factor(a: np.ndarray):

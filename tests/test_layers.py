@@ -323,6 +323,31 @@ class TestConv2d:
         assert check_param_gradients(lambda: loss_at(x), params, analytic) < 1e-5
         assert check_input_gradient(loss_at, x, dx) < 1e-5
 
+    # below 9 pixels the dense per-sample product (2x2, 2x4, 1x8), and the
+    # first im2col grid (3x3); c != d, so a tap or channel mix-up cannot cancel
+    @pytest.mark.parametrize("h, w", [(2, 2), (2, 4), (1, 8), (3, 3)])
+    def test_small_grid_backward(self, h, w):
+        rng = Rng(10 * h + w)
+        conv = Conv2d(2, 3, 3, rng.child("w"))
+        conv.b = rng.normal((3,))
+        x = rng.normal((2, 2, h, w))
+        dy = rng.normal((2, 3, h, w))
+
+        def loss_at(xv):
+            return float((conv.forward(xv)[0] * dy).sum())
+
+        y, cache = conv.forward(x)
+        for i in range(2):
+            ref = direct_convolution(conv_spec(conv), x[i]) + conv.b[:, None, None]
+            np.testing.assert_allclose(y[i], ref, rtol=0, atol=1e-12)
+        dx, gw, gb = conv.backward(dy, cache)
+        inner = float(((y - conv.b[None, :, None, None]) * dy).sum())
+        assert float((x * dx).sum()) == pytest.approx(inner, rel=1e-12)
+        assert float((conv.w * gw).sum()) == pytest.approx(inner, rel=1e-12)
+        analytic = {"w": gw, "b": gb}
+        assert check_param_gradients(lambda: loss_at(x), {"w": conv.w, "b": conv.b}, analytic) < 1e-5
+        assert check_input_gradient(loss_at, x, dx) < 1e-5
+
     def test_blocked_backward_matches_finite_differences(self, monkeypatch):
         # the same 40 pixel rows as two 16-row blocks and a remainder of 8
         monkeypatch.setattr(tensor, "ONE_THREAD_MNK", 16 * 54)

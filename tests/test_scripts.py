@@ -53,6 +53,7 @@ def test_run_checks(capsys, monkeypatch):
         "grad_params/actnorm", "grad_input/actnorm", "grad_params/shift", "grad_input/shift",
         "grad_params/inv1x1_plu", "grad_input/inv1x1_plu",
         "grad_params/coupling", "grad_input/coupling",
+        "grad_params/coupling_2x2", "grad_input/coupling_2x2",
         "grad_params/full_model",
         "conv_reformulation", "conv_equiv/kernel",
         "quadrature/empty_flow", "quadrature/init_model",

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nxnflow import tensor
 from nxnflow.errors import ShapeError
 from nxnflow.layers import ChannelAffine
-from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _patches, _row_product, conv, conv_backward,
+from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _patches, _row_product, _taps, conv, conv_backward,
                             lu_slogdet)
 
 
@@ -200,6 +201,38 @@ class TestChannelOuter:
         _, gw = conv_backward(dy, x, mix(np.eye(3)))
         ref = np.einsum("ndhw,nchw->dc", dy, x)
         np.testing.assert_allclose(gw[:, :, 0, 0], ref, rtol=0, atol=1e-12)
+
+
+class TestSmallGrid:
+    # a k = 3 conv on a grid of fewer than 9 pixels runs as one dense
+    # per-sample product; from 9 pixels on it builds patch rows
+    @pytest.mark.parametrize("h, w, patched", [(2, 2, False), (2, 4, False), (1, 8, False),
+                                               (3, 3, True)])
+    def test_patch_rows_only_from_k_squared_pixels(self, h, w, patched, monkeypatch):
+        calls = []
+        patches = tensor._patches
+        monkeypatch.setattr(tensor, "_patches", lambda x, k: calls.append(k) or patches(x, k))
+        rng = Rng(h * w)
+        x, dy, kernel = rng.normal((2, 3, h, w)), rng.normal((2, 4, h, w)), rng.normal((4, 3, 3, 3))
+        conv(x, kernel)
+        conv_backward(dy, x, kernel)
+        assert bool(calls) == patched
+
+    def test_empty_batch(self):
+        rng = Rng(1)
+        kernel = rng.normal((4, 3, 3, 3))
+        assert conv(np.zeros((0, 3, 2, 2)), kernel).shape == (0, 4, 2, 2)
+        dx, dkernel = conv_backward(np.zeros((0, 4, 2, 2)), np.zeros((0, 3, 2, 2)), kernel)
+        assert dx.shape == (0, 3, 2, 2)
+        assert np.array_equal(dkernel, np.zeros((4, 3, 3, 3)))
+
+    def test_tap_matrix_is_cached_and_read_only(self):
+        taps = _taps(2, 2, 3)
+        assert _taps(2, 2, 3) is taps
+        # 4 taps of each 2x2 pixel stay on the grid
+        assert taps.shape == (9, 16) and taps.sum() == 16
+        with pytest.raises(ValueError):
+            taps[0, 0] = 1.0
 
 
 class TestLuSlogdet:
