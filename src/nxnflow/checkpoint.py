@@ -18,7 +18,7 @@ Moments with the flag clear, a repeated array name, and text fields that
 are not UTF-8 raise FormatError at the offending byte. Version 5 is the only
 version read; versions 1-4 (older moment encodings or ``shift`` arrays) are
 refused.
-Round trips are bit-exact; loading refuses a mismatched config echo.
+Round trips are bit-exact; loading refuses an echo of another config.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import model_config_from_text
 from .errors import ConfigError, FormatError
 
 NXNF_MAGIC = b"NXNF"
@@ -178,8 +179,9 @@ def snapshot_params(model) -> dict:
 
 
 def restore_model(ckpt: Checkpoint, model) -> None:
-    """Load a checkpoint's state tree into a freshly built model; the config
-    echo must match and ``model.set_state`` checks every array."""
-    if ckpt.config_text != model.config.to_text():
+    """Load a checkpoint's state tree into a freshly built model; the parsed
+    config echo (a missing key takes its default) must equal the model's
+    config and ``model.set_state`` checks every array."""
+    if model_config_from_text(ckpt.config_text) != model.config:
         raise ConfigError("checkpoint config does not match the loading model's config")
     model.set_state(ckpt.params)

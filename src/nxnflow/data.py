@@ -33,8 +33,6 @@ GENERATORS_2D = ("eight_gaussians", "two_moons", "checkerboard")
 @dataclass
 class Dataset2D:
     points: np.ndarray  # N x 2 float64
-    kind: str
-    seed: int
 
 
 @dataclass
@@ -80,8 +78,8 @@ def gen_2d(kind: str, n: int, rng: Rng) -> Dataset2D:
     else:
         raise ConfigError(f"unknown 2D generator {kind!r}")
     if n == 1:
-        return Dataset2D(points=points, kind=kind, seed=rng.seed)
-    return Dataset2D(points=_normalize(points), kind=kind, seed=rng.seed)
+        return Dataset2D(points=points)
+    return Dataset2D(points=_normalize(points))
 
 
 def save_images(ds: ImageDataset, path) -> None:

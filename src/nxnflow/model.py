@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateChannelError, FormatError, NumericError, ShapeError
 from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze, split_channels, unsplit_channels
 from .tensor import Rng
 
@@ -216,7 +216,10 @@ class MultiScaleModel:
                 h, _ = split_channels(h)
                 continue
             if name.endswith("/actnorm"):
-                layer.init_from_batch(h)
+                try:
+                    layer.init_from_batch(h)
+                except DegenerateChannelError as e:
+                    raise DegenerateChannelError(f"{name}: {e}") from None
             h, _, _ = layer.forward(h)
 
     # -- forward / inverse --------------------------------------------------

@@ -21,8 +21,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
-# Relative pivot tolerance below which an LU pivot is treated as zero.
-PIVOT_TOL = 1e-12
 # OpenBLAS runs a dgemm of at most this many multiply-adds (m*n*k) on one
 # thread; a larger one wakes its worker pool, which keeps spinning after the call.
 ONE_THREAD_MNK = 1 << 18
@@ -134,21 +132,16 @@ def lu_factor(a: np.ndarray):
     """LU with partial pivoting: returns (perm, lower, upper).
 
     perm is a row-permutation vector such that a[perm] = lower @ upper,
-    lower has unit diagonal. Pivots below PIVOT_TOL relative to the
-    largest magnitude in the matrix are treated as zero.
+    lower has unit diagonal. There is no pivot tolerance: the one caller,
+    ``Inv1x1``, passes a rotation, whose pivots stay far from zero.
     """
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ShapeError(f"matrix must be square, got {a.shape}")
     perm = np.arange(n)
-    scale = np.max(np.abs(a)) if n else 0.0
-    tol = PIVOT_TOL * max(scale, 1.0)
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= tol:
-            a[k, k] = 0.0
-            continue
         if p != k:
             a[[k, p]] = a[[p, k]]
             perm[[k, p]] = perm[[p, k]]
@@ -157,32 +150,6 @@ def lu_factor(a: np.ndarray):
     lower = np.tril(a, -1) + np.eye(n)
     upper = np.triu(a)
     return perm, lower, upper
-
-
-def lu_slogdet(w: np.ndarray) -> tuple[int, float]:
-    """(sign, log|det|) via LU with partial pivoting; sign 0 iff singular."""
-    w = np.asarray(w, dtype=np.float64)
-    n = w.shape[0]
-    perm, _, upper = lu_factor(w)
-    diag = np.diag(upper)
-    if np.any(diag == 0.0):
-        return 0, -np.inf
-    # permutation parity: count transpositions needed to sort perm
-    visited = np.zeros(n, dtype=bool)
-    swaps = 0
-    for i in range(n):
-        if visited[i]:
-            continue
-        j = i
-        cycle = 0
-        while not visited[j]:
-            visited[j] = True
-            j = perm[j]
-            cycle += 1
-        swaps += cycle - 1
-    sign = -1 if swaps % 2 else 1
-    sign *= int(np.prod(np.sign(diag)))
-    return sign, float(np.sum(np.log(np.abs(diag))))
 
 
 def _derive_seed(seed: int, label: str) -> int:

@@ -151,6 +151,26 @@ class TestCheckpointFormat:
         with pytest.raises(ConfigError):
             ckpt_io.restore_model(ck, other)
 
+    def test_echo_missing_key_restores(self, tmp_path):
+        # an echo written before a field existed loads: the field takes its default
+        model = random_small_model(Rng(0))
+        echo = model.config.to_text().replace("model.bits = 5\n", "")
+        p = tmp_path / "m.nxnf"
+        ckpt_io.save(dataclasses.replace(untrained_checkpoint(model), config_text=echo), p)
+        fresh = MultiScaleModel(model.config, Rng(99))
+        ckpt_io.restore_model(ckpt_io.load(p), fresh)
+        np.testing.assert_array_equal(fresh.theta, model.theta)
+
+    @pytest.mark.parametrize("edit", [("model.hidden_width = 8", "model.hidden_width = 9"),
+                                      ("model.bits = 5", "model.shift = none")],
+                             ids=["other_value", "unknown_key"])
+    def test_echo_other_value_or_unknown_key_refused(self, edit):
+        model = random_small_model(Rng(0))
+        echo = model.config.to_text().replace(*edit)
+        ck = dataclasses.replace(untrained_checkpoint(model), config_text=echo)
+        with pytest.raises(ConfigError):
+            ckpt_io.restore_model(ck, MultiScaleModel(model.config, Rng(99)))
+
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_refused(self, tmp_path, capsys, version):
         raw = bytearray(ckpt_io.serialize(untrained_checkpoint(random_small_model(Rng(0)))))
@@ -489,6 +509,14 @@ class TestFileErrors:
         assert main(args) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "line 2: not a finite number" in err[0]
+
+    def test_constant_csv_column_names_layer(self, tmp_path, capsys):
+        data = tmp_path / "pts.csv"
+        data.write_text("0.5,1.0\n0.5,2.0\n")
+        cfg = write_cfg(tmp_path, RANK2_CFG + f"data.kind = csv\ndata.path = {data}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 5
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: level0/step0/actnorm: channel 0 has std 0.000e+00 < 1e-6"]
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("command", ["train", "eval"])

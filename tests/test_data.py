@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nxnflow.config import KNOWN_KEYS, RunConfig
-from nxnflow.data import (Dataset2D, ImageDataset, gen_2d, gen_textures, load_images,
-                          load_points_csv, save_images, save_points_csv, save_ppm_montage)
+from nxnflow.data import (ImageDataset, gen_2d, gen_textures, load_images, load_points_csv,
+                          save_images, save_points_csv, save_ppm_montage)
 from nxnflow.errors import ConfigError, DataError, FormatError
 from nxnflow.tensor import Rng
 

@@ -170,6 +170,7 @@ class TestInv1x1:
         layer = Inv1x1(5, Rng(11))
         _, logdet, _ = layer.forward(np.zeros((1, 5, 2, 2)))
         assert logdet[0] == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(layer.matrix @ layer.matrix.T, np.eye(5), rtol=0, atol=1e-12)
 
 
 class TestCoupling:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,19 +7,7 @@ from nxnflow import tensor
 from nxnflow.errors import ShapeError
 from nxnflow.layers import ChannelAffine
 from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _patches, _row_product, _taps, conv, conv_backward,
-                            lu_slogdet)
-
-
-def brute_force_det(a):
-    """Cofactor expansion along the first row; independent of the LU path."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += ((-1) ** j) * a[0, j] * brute_force_det(minor)
-    return total
+                            lu_factor)
 
 
 def affine(scale, bias):
@@ -235,32 +221,17 @@ class TestSmallGrid:
             taps[0, 0] = 1.0
 
 
-class TestLuSlogdet:
-    def test_identity(self):
-        assert lu_slogdet(np.eye(4)) == (1, 0.0)
-
-    def test_permutation(self):
-        sign, logabs = lu_slogdet(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert sign == -1
-        assert logabs == pytest.approx(0.0, abs=1e-15)
-
-    def test_scaled_identity(self):
-        sign, logabs = lu_slogdet(2.0 * np.eye(2))
-        assert sign == 1
-        assert logabs == pytest.approx(math.log(4.0), rel=1e-14)
-
-    def test_singular(self):
-        sign, _ = lu_slogdet(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert sign == 0
-
+class TestLuFactor:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_against_cofactor_expansion(self, seed, n):
+    def test_factors_reproduce_permuted_matrix(self, seed, n):
         a = Rng(seed).normal((n, n))
-        ref = brute_force_det(a)
-        sign, logabs = lu_slogdet(a)
-        got = sign * math.exp(logabs)
-        assert got == pytest.approx(ref, rel=1e-10, abs=1e-12)
+        perm, lower, upper = lu_factor(a)
+        np.testing.assert_allclose(lower @ upper, a[perm], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.diag(lower), 1.0)
+        np.testing.assert_array_equal(np.triu(lower, 1), 0.0)
+        assert np.all(np.abs(lower) <= 1.0)  # partial pivoting
+        np.testing.assert_array_equal(np.tril(upper, -1), 0.0)
 
 
 class TestRng:

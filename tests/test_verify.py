@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nxnflow.errors import ShapeError
 from nxnflow.layers import ChannelAffine
 from nxnflow.model import ModelConfig, MultiScaleModel, flat_views
 from nxnflow.suites import random_conv_spec, random_layer, random_small_model
@@ -59,6 +60,16 @@ class TestNumericalLogdet:
         x = Rng(2).normal((2, 2, 2))
         expected = 4.0 * math.log(4.0)
         assert numerical_logdet(layer, x) == pytest.approx(expected, rel=1e-4)
+
+    def test_singular_jacobian_raises(self):
+        class DropChannel:
+            def forward(self, x):  # zeroes channel 0, so one Jacobian row is exactly 0
+                y = x.copy()
+                y[:, 0] = 0.0
+                return y, np.zeros(len(x)), None
+
+        with pytest.raises(ShapeError, match="singular"):
+            numerical_logdet(DropChannel(), Rng(3).normal((2, 2, 2)))
 
 
 class TestConvReformulation:
