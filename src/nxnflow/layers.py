@@ -45,7 +45,6 @@ class ChannelAffine:
     """
 
     def __init__(self, channels: int, data_init: bool = False):
-        self.channels = channels
         self.log_scale = np.zeros(channels)
         self.bias = np.zeros(channels)
         self.initialized = not data_init
@@ -275,7 +274,6 @@ class Coupling:
     def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng):
         if channels < 2:
             raise ShapeError("coupling needs at least 2 channels")
-        self.channels = channels
         self.c_a = (channels + 1) // 2
         self.c_b = channels - self.c_a
         self.net = ConditionerNet(self.c_b, 2 * self.c_a, hidden, kernel, rng)

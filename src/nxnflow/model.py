@@ -204,9 +204,9 @@ class MultiScaleModel:
                 raise FormatError(f"state array {name} has an entry other than +1 or -1")
         for name, arr in own.items():
             arr[...] = tree[name]
-        for steps in self.steps:
-            for step in steps:
-                step.actnorm.initialized = True
+        for name, layer in self.flow:
+            if name.endswith("/actnorm"):
+                layer.initialized = True
 
     def init_actnorms(self, batch: np.ndarray) -> None:
         """Data-dependent actnorm init, layer by layer along the flow."""
@@ -282,16 +282,17 @@ class MultiScaleModel:
         return out
 
     def inverse(self, z_parts: list) -> np.ndarray:
-        """Latent parts in the shapes of ``config.z_shapes()`` -> (N,) + input
-        shape. A non-finite output is a NumericError naming its layer (``_walk``)."""
+        """Latent parts of shapes (N,) + ``config.z_shapes()``, N from the first
+        part (a ShapeError otherwise) -> (N,) + input shape. A non-finite output
+        is a NumericError naming its layer (``_walk``)."""
         shapes = self.config.z_shapes()
         if len(z_parts) != len(shapes):
             raise ShapeError(f"expected {len(shapes)} latent parts, got {len(z_parts)}")
-        for z, s in zip(z_parts, shapes):
-            if tuple(z.shape[1:]) != tuple(s):
-                raise ShapeError(f"latent part shape {z.shape[1:]} != expected {s}")
-        parts = [self._to_flow(np.asarray(z, dtype=np.float64)) for z in z_parts]
-        return self._from_flow(self._unwalk(parts))
+        parts = [np.asarray(z, dtype=np.float64) for z in z_parts]
+        for z, s in zip(parts, shapes):
+            if z.shape != parts[0].shape[:1] + s:
+                raise ShapeError(f"latent part shape {z.shape} != expected {parts[0].shape[:1] + s}")
+        return self._from_flow(self._unwalk([self._to_flow(z) for z in parts]))
 
     def _unwalk(self, z_parts: list, checked: bool = False) -> np.ndarray:
         """The inverse pass over NCHW latent parts, checked as ``_walk`` is."""

@@ -13,7 +13,7 @@ from . import verify
 from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze
 from .model import ModelConfig, MultiScaleModel
 from .tensor import Rng, conv
-from .verify import CheckResult, StandardConvSpec
+from .verify import CheckResult
 
 LAYER_KINDS = ("actnorm", "shift", "inv1x1_plu", "coupling")
 
@@ -48,9 +48,9 @@ def random_small_model(rng: Rng, mode: str = "image") -> MultiScaleModel:
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=3, levels=1, hidden_width=8)
     model = MultiScaleModel(cfg, rng.child("build"))
     model.theta += 0.2 * rng.normal(model.theta.shape)
-    for steps in model.steps:
-        for step in steps:
-            step.actnorm.initialized = True
+    for name, layer in model.flow:
+        if name.endswith("/actnorm"):
+            layer.initialized = True
     return model
 
 
@@ -155,11 +155,9 @@ def suite_gradients(seed: int) -> list[CheckResult]:
     return results
 
 
-def random_conv_spec(rng: Rng, kernel: int, c: int, d: int) -> StandardConvSpec:
-    offsets = [(di, dj) for di in range(-(kernel // 2), kernel // 2 + 1)
-               for dj in range(-(kernel // 2), kernel // 2 + 1)]
-    taps = rng.normal((len(offsets), d, c))
-    return StandardConvSpec(taps=taps, offsets=offsets)
+def random_conv_kernel(rng: Rng, kernel: int, c: int, d: int) -> np.ndarray:
+    """A D x C x k x k kernel whose taps are k*k D x C normal draws in raster order."""
+    return rng.normal((kernel * kernel, d, c)).reshape(kernel, kernel, d, c).transpose(2, 3, 0, 1)
 
 
 def suite_conv_equiv(seed: int, specs: int = 100) -> list[CheckResult]:
@@ -174,7 +172,7 @@ def suite_conv_equiv(seed: int, specs: int = 100) -> list[CheckResult]:
         d = 1 + int(tr.child("d").integers(0, 4))
         h = 2 + int(tr.child("h").integers(0, 5))
         w = 2 + int(tr.child("w").integers(0, 5))
-        spec = random_conv_spec(tr.child("taps"), kernel, c, d)
+        kern = random_conv_kernel(tr.child("taps"), kernel, c, d)
         x = tr.child("x").normal((c, h, w))
         shift = random_layer("shift", c, tr.child("shift"))
 
@@ -182,9 +180,8 @@ def suite_conv_equiv(seed: int, specs: int = 100) -> list[CheckResult]:
             y, _, _ = s.forward(xi[None])
             return y[0]
 
-        worst = max(worst, verify.conv_reformulation_check(spec, x, shared))
-        taps = spec.taps.reshape(kernel, kernel, d, c).transpose(2, 3, 0, 1)
-        dev = np.abs(conv(x[None], taps)[0] - verify.direct_convolution(spec, x))
+        worst = max(worst, verify.conv_reformulation_check(kern, x, shared))
+        dev = np.abs(conv(x[None], kern)[0] - verify.direct_convolution(kern, x))
         kernel_worst = max(kernel_worst, float(dev.max()))
     return [CheckResult("conv_reformulation", worst <= 1e-12, worst, 1e-12),
             CheckResult("conv_equiv/kernel", kernel_worst <= 1e-12, kernel_worst, 1e-12)]

@@ -197,10 +197,13 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
 
 def evaluate_nll(model: MultiScaleModel, data: np.ndarray, bits: int, seed: int,
                  batch_size: int = 256) -> float:
-    """Mean NLL in nats over a dataset, with seeded dequantization and numpy's
-    warnings off. A non-finite NLL is a NumericError naming the batch."""
+    """Mean NLL in nats over a dataset, with seeded dequantization at ``bits``,
+    which in image mode must be the model's own, and numpy's warnings off. A
+    non-finite NLL is a NumericError naming the batch."""
     rng = Rng(seed).child("eval_dequantize")
     image_mode = model.config.mode == "image"
+    if image_mode and bits != model.config.bits:
+        raise ConfigError(f"eval bits {bits} != model bits {model.config.bits}")
     if data.shape[0] == 0:
         raise DataError("empty dataset")
     total = 0.0

@@ -6,8 +6,9 @@ These deliberately avoid the analytic code paths they certify: Jacobians and
 gradients come entry by entry from ``central_differences``, the one
 perturb-evaluate-restore loop, at the fixed step ``FD_STEP``, and log-dets
 from LAPACK's ``slogdet``; the convolution check compares a brute-force
-sliding window against the shifted-sum and fused forms, and quadrature
-integrates exp(log_prob) on a dense grid.
+sliding window against the shifted-sum and fused forms on a D x C x kh x kw
+kernel laid out like ``Conv2d.w``, and quadrature integrates exp(log_prob)
+on a dense grid.
 """
 
 from __future__ import annotations
@@ -83,16 +84,15 @@ def max_offdiagonal(jac: np.ndarray) -> float:
 
 # -- Eq. (standard conv = sum of shifted 1x1 convs) check --------------------
 
-@dataclass
-class StandardConvSpec:
-    """A standard convolution written as K taps: D x C matrices with integer
-    spatial offsets, zero padding."""
-    taps: np.ndarray     # K x D x C
-    offsets: list        # K pairs (di, dj)
-
-    def __post_init__(self):
-        if len(self.offsets) != self.taps.shape[0]:
-            raise ShapeError("one offset per tap required")
+def kernel_taps(kernel: np.ndarray, x: np.ndarray) -> list:
+    """The (D x C tap matrix, (di, dj)) pairs of a D x C x kh x kw kernel in
+    raster order; tap (a, b) reads x[:, i + a - kh//2, j + b - kw//2] of a
+    C x H x W input. ShapeError unless kh and kw are odd and x has C channels."""
+    _, c, kh, kw = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0 or x.shape[0] != c:
+        raise ShapeError(f"kernel {kernel.shape} needs odd extents and the input's "
+                         f"{x.shape[0]} channels")
+    return [(kernel[:, :, a, b], (a - kh // 2, b - kw // 2)) for a in range(kh) for b in range(kw)]
 
 
 def shift_input(x: np.ndarray, di: int, dj: int) -> np.ndarray:
@@ -106,48 +106,43 @@ def shift_input(x: np.ndarray, di: int, dj: int) -> np.ndarray:
     return out
 
 
-def direct_convolution(spec: StandardConvSpec, x: np.ndarray) -> np.ndarray:
-    """Brute-force sliding window: y[d,i,j] = sum_k sum_c taps[k,d,c] *
-    x[c, i+di_k, j+dj_k], zero padded."""
-    k, d, c = spec.taps.shape
+def direct_convolution(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Brute-force sliding window, pixel by pixel: y[:, i, j] = sum over taps
+    of tap @ x[:, i + di, j + dj], zero padded."""
+    taps = kernel_taps(kernel, x)
     _, h, w = x.shape
-    y = np.zeros((d, h, w))
+    y = np.zeros((kernel.shape[0], h, w))
     for i in range(h):
         for j in range(w):
-            for t in range(k):
-                di, dj = spec.offsets[t]
+            for tap, (di, dj) in taps:
                 ii, jj = i + di, j + dj
                 if 0 <= ii < h and 0 <= jj < w:
-                    y[:, i, j] += spec.taps[t] @ x[:, ii, jj]
+                    y[:, i, j] += tap @ x[:, ii, jj]
     return y
 
 
-def shifted_sum_convolution(spec: StandardConvSpec, x: np.ndarray) -> np.ndarray:
+def shifted_sum_convolution(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Sum over taps of a 1x1 convolution applied to the shifted input."""
-    _, h, w = x.shape
-    d = spec.taps.shape[1]
-    y = np.zeros((d, h, w))
-    for t, (di, dj) in enumerate(spec.offsets):
-        xs = shift_input(x, di, dj)
-        y += np.einsum("dc,chw->dhw", spec.taps[t], xs)
+    y = np.zeros((kernel.shape[0],) + x.shape[1:])
+    for tap, (di, dj) in kernel_taps(kernel, x):
+        y += np.einsum("dc,chw->dhw", tap, shift_input(x, di, dj))
     return y
 
 
-def conv_reformulation_check(spec: StandardConvSpec, x: np.ndarray,
-                             shared_shift=None) -> float:
+def conv_reformulation_check(kernel: np.ndarray, x: np.ndarray, shared_shift=None) -> float:
     """Max deviation over (a) direct conv vs shifted-sum form, and (b) with a
     shared shifted input, tap-by-tap application vs the fused single 1x1 conv
-    with the summed kernel."""
-    direct = direct_convolution(spec, x)
-    shifted = shifted_sum_convolution(spec, x)
+    with the summed kernel (numpy's sum over the stacked raster-order taps)."""
+    direct = direct_convolution(kernel, x)
+    shifted = shifted_sum_convolution(kernel, x)
     dev = float(np.max(np.abs(direct - shifted))) if direct.size else 0.0
     sx = shared_shift(x) if shared_shift is not None else x
+    taps = [tap for tap, _ in kernel_taps(kernel, x)]
     per_tap = np.zeros_like(direct)
-    for t in range(spec.taps.shape[0]):
-        per_tap += np.einsum("dc,chw->dhw", spec.taps[t], sx)
-    fused = np.einsum("dc,chw->dhw", spec.taps.sum(axis=0), sx)
-    dev = max(dev, float(np.max(np.abs(per_tap - fused))))
-    return dev
+    for tap in taps:
+        per_tap += np.einsum("dc,chw->dhw", tap, sx)
+    fused = np.einsum("dc,chw->dhw", np.sum(taps, axis=0), sx)
+    return max(dev, float(np.max(np.abs(per_tap - fused))))
 
 
 # -- round trips and quadrature ----------------------------------------------

@@ -13,7 +13,7 @@ from nxnflow.layers import (ChannelAffine, ConditionerNet, Conv2d, Coupling, Inv
 from nxnflow.model import standard_normal_logp
 from nxnflow.suites import LAYER_KINDS, random_layer
 from nxnflow.tensor import Rng
-from nxnflow.verify import (StandardConvSpec, check_input_gradient, check_param_gradients,
+from nxnflow.verify import (check_input_gradient, check_param_gradients,
                             direct_convolution, numerical_jacobian)
 
 
@@ -241,14 +241,6 @@ class TestRank2ArraysRejected:
             ChannelAffine(2, data_init=True).init_from_batch(Rng(2).normal((8, 2)))
 
 
-def conv_spec(conv):
-    """A Conv2d's kernel as the brute-force oracle's taps and offsets."""
-    k = conv.w.shape[2]
-    taps = [(a, b) for a in range(k) for b in range(k)]
-    return StandardConvSpec(taps=np.stack([conv.w[:, :, a, b] for a, b in taps]),
-                            offsets=[(a - k // 2, b - k // 2) for a, b in taps])
-
-
 class TestConv2d:
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3]))
     @settings(max_examples=20, deadline=None)
@@ -260,9 +252,8 @@ class TestConv2d:
         conv.b = rng.normal((d,))
         x = rng.normal((n, c, h, w))
         y, _ = conv.forward(x)
-        spec = conv_spec(conv)
         for i in range(n):
-            ref = direct_convolution(spec, x[i]) + conv.b[:, None, None]
+            ref = direct_convolution(conv.w, x[i]) + conv.b[:, None, None]
             np.testing.assert_allclose(y[i], ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", [1, 3])
@@ -296,9 +287,8 @@ class TestConv2d:
         x = rng.normal((n, c, h, w))
         dy = rng.normal((n, d, h, w))
         y, cache = conv.forward(x)
-        spec = conv_spec(conv)
         for i in range(n):
-            ref = direct_convolution(spec, x[i]) + conv.b[:, None, None]
+            ref = direct_convolution(conv.w, x[i]) + conv.b[:, None, None]
             np.testing.assert_allclose(y[i], ref, rtol=0, atol=1e-12)
         dx, gw, _ = conv.backward(dy, cache)
         inner = float(((y - conv.b[None, :, None, None]) * dy).sum())
@@ -339,7 +329,7 @@ class TestConv2d:
 
         y, cache = conv.forward(x)
         for i in range(2):
-            ref = direct_convolution(conv_spec(conv), x[i]) + conv.b[:, None, None]
+            ref = direct_convolution(conv.w, x[i]) + conv.b[:, None, None]
             np.testing.assert_allclose(y[i], ref, rtol=0, atol=1e-12)
         dx, gw, gb = conv.backward(dy, cache)
         inner = float(((y - conv.b[None, :, None, None]) * dy).sum())

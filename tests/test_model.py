@@ -93,6 +93,13 @@ class TestForwardInverse:
         with pytest.raises(ShapeError):
             model.inverse([np.zeros((1, 5, 1, 1))])
 
+    def test_latent_parts_as_lists_and_one_batch_size(self):
+        model = random_small_model(Rng(8))
+        z = model.forward(Rng(9).normal((3, 2, 4, 4))).z_parts
+        np.testing.assert_array_equal(model.inverse([p.tolist() for p in z]), model.inverse(z))
+        with pytest.raises(ShapeError, match=r"shape \(2, 16, 1, 1\) != expected \(3, 16, 1, 1\)"):
+            model.inverse([z[0], z[1][:2]])
+
 
 class TestStateTree:
     def test_set_state_copies_and_initializes(self):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nxnflow
 from nxnflow.data import gen_2d
 from nxnflow.errors import ConfigError, DataError, FormatError, NumericError
 from nxnflow.layers import Coupling
@@ -251,6 +256,40 @@ class TestEvaluate:
             with pytest.raises(NumericError,
                                match=r"^eval batch 1 \(first row 4\): non-finite NLL$"):
                 evaluate_nll(model, data, 0, 0, batch_size=4)
+
+    def test_bits_must_match_the_model(self):
+        # 5-bit image data dequantized at 8 bits would be scored as 5-bit data
+        model = random_small_model(Rng(0))
+        data = Rng(1).integers(0, 32, (8, 2, 4, 4))
+        assert math.isfinite(evaluate_nll(model, data, 5, 0))
+        with pytest.raises(ConfigError, match="eval bits 8 != model bits 5"):
+            evaluate_nll(model, data, 8, 0)
+
+
+# Five steps of the canonical image config; writes the parameter bytes to stdout.
+IMAGE_TRAINING = """
+import sys
+from nxnflow.data import gen_textures
+from nxnflow.model import ModelConfig, build_model
+from nxnflow.tensor import Rng
+from nxnflow.training import TrainConfig, train
+cfg = ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8, levels=2,
+                  hidden_width=32, bits=5)
+model = build_model(cfg, 0)
+train(model, gen_textures(256, 3, 8, 5, Rng(0).child("data")).images,
+      TrainConfig(batch_size=64, steps=5, seed=0, bits=5))
+sys.stdout.buffer.write(model.theta.tobytes())
+"""
+
+
+def test_image_training_is_independent_of_blas_threads():
+    # at batch 64 the level-0 kernel-gradient product (32 x 1024 x 288
+    # multiply-adds) is above the size at which OpenBLAS uses its threads
+    src = str(Path(nxnflow.__file__).resolve().parents[1])
+    theta = [subprocess.run([sys.executable, "-c", IMAGE_TRAINING], capture_output=True, check=True,
+                            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)).stdout
+             for threads in ("1", "2")]
+    assert theta[0] and theta[0] == theta[1]
 
 
 class TestActNormInitQuality:

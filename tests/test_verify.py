@@ -6,12 +6,11 @@ import pytest
 from nxnflow.errors import ShapeError
 from nxnflow.layers import ChannelAffine
 from nxnflow.model import ModelConfig, MultiScaleModel, flat_views
-from nxnflow.suites import random_conv_spec, random_layer, random_small_model
+from nxnflow.suites import random_conv_kernel, random_layer, random_small_model
 from nxnflow.tensor import Rng
-from nxnflow.verify import (CheckResult, StandardConvSpec, central_differences,
-                            check_param_gradients, conv_reformulation_check,
-                            direct_convolution, numerical_jacobian, numerical_logdet,
-                            quadrature_normalization, roundtrip_suite,
+from nxnflow.verify import (CheckResult, central_differences, check_param_gradients,
+                            conv_reformulation_check, direct_convolution, numerical_jacobian,
+                            numerical_logdet, quadrature_normalization, roundtrip_suite,
                             shifted_sum_convolution)
 
 
@@ -75,35 +74,46 @@ class TestNumericalLogdet:
 class TestConvReformulation:
     def test_1d_slice_hand_example(self):
         # x=[1,2,3], kernel [1,1,1], zero pad -> [3,6,5]
-        spec = StandardConvSpec(
-            taps=np.ones((3, 1, 1)), offsets=[(0, -1), (0, 0), (0, 1)])
+        kernel = np.ones((1, 1, 1, 3))
         x = np.array([[[1.0, 2.0, 3.0]]])
-        direct = direct_convolution(spec, x)
+        direct = direct_convolution(kernel, x)
         np.testing.assert_allclose(direct[0, 0], [3.0, 6.0, 5.0])
-        shifted = shifted_sum_convolution(spec, x)
+        shifted = shifted_sum_convolution(kernel, x)
         assert np.max(np.abs(direct - shifted)) <= 1e-12
+
+    def test_tap_offsets(self):
+        # a 3x1 kernel whose only nonzero tap (2, 0) reads one row down
+        kernel = np.zeros((1, 1, 3, 1))
+        kernel[0, 0, 2, 0] = 1.0
+        x = np.arange(6.0).reshape(1, 3, 2)
+        np.testing.assert_array_equal(direct_convolution(kernel, x)[0], [[2, 3], [4, 5], [0, 0]])
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 3), (1, 1, 3, 2), (1, 2, 3, 3)])
+    def test_even_extent_or_channel_mismatch_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            direct_convolution(np.zeros(shape), np.zeros((1, 3, 3)))
 
     def test_single_tap_reduces_to_1x1(self):
         rng = Rng(3)
-        spec = StandardConvSpec(taps=rng.normal((1, 3, 2)), offsets=[(0, 0)])
+        kernel = rng.normal((3, 2, 1, 1))
         x = rng.normal((2, 4, 4))
-        dev = conv_reformulation_check(spec, x)
+        dev = conv_reformulation_check(kernel, x)
         assert dev <= 1e-14
 
     def test_random_3x3_kernel(self):
         rng = Rng(4)
-        spec = random_conv_spec(rng.child("spec"), 3, 2, 3)
+        kernel = random_conv_kernel(rng.child("spec"), 3, 2, 3)
         x = rng.child("x").normal((2, 4, 4))
-        direct = direct_convolution(spec, x)
-        shifted = shifted_sum_convolution(spec, x)
+        direct = direct_convolution(kernel, x)
+        shifted = shifted_sum_convolution(kernel, x)
         assert np.max(np.abs(direct - shifted)) <= 1e-12
 
     def test_fused_shared_shift_form(self):
         rng = Rng(5)
-        spec = random_conv_spec(rng.child("spec"), 3, 3, 3)
+        kernel = random_conv_kernel(rng.child("spec"), 3, 3, 3)
         x = rng.child("x").normal((3, 5, 5))
         shift = random_layer("shift", 3, rng.child("shift"))
-        dev = conv_reformulation_check(spec, x,
+        dev = conv_reformulation_check(kernel, x,
                                        lambda xi: shift.forward(xi[None])[0][0])
         assert dev <= 1e-12
 
