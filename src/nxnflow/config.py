@@ -80,5 +80,9 @@ class RunConfig:
 
 
 def model_config_from_text(text: str) -> ModelConfig:
-    """Rebuild a ModelConfig from its checkpoint echo."""
-    return RunConfig(parse_kv_lines(text)).model_config()
+    """Rebuild a ModelConfig from its checkpoint echo, which holds model.* keys only."""
+    entries = parse_kv_lines(text)
+    other = [k for k in entries if not k.startswith("model.")]
+    if other:
+        raise ConfigError(f"config echo key {other[0]!r} is not a model.* key")
+    return RunConfig(entries).model_config()

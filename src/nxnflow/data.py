@@ -113,13 +113,13 @@ def load_images(path) -> ImageDataset:
     return ImageDataset(images=payload.reshape(count, c, h, w).copy(), bits=bits)
 
 
-def save_ppm_montage(images: np.ndarray, bits: int, path, cols: int = 8) -> None:
-    """Write a grid of C x H x W integer images as one P6 PPM: one channel
+def save_ppm_montage(images: np.ndarray, bits: int, path) -> None:
+    """Write C x H x W integer images as one P6 PPM, 8 to a row: one channel
     is grey, two are red and green with blue 0, and from three on the first
     three are RGB."""
     count = images.shape[0]
     c, h, w = images.shape[1:]
-    cols = max(1, min(cols, max(count, 1)))
+    cols = max(1, min(8, count))
     rows = max(1, (count + cols - 1) // cols)
     canvas = np.zeros((3, rows * h, cols * w), dtype=np.uint8)
     scale = 255 // max((1 << bits) - 1, 1)

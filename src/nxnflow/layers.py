@@ -173,11 +173,11 @@ class Conv2d:
     viewed as NCHW, of pixel patch rows with the kernel columns, or on a grid
     of fewer than k*k pixels of sample rows with the whole convolution's
     matrix. The cache holds only the input, and backward rebuilds the rest.
+    Without an rng the kernel is zero.
     """
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: Rng | None,
-                 zero_init: bool = False):
-        if zero_init:
+    def __init__(self, c_in: int, c_out: int, kernel: int, rng: Rng | None):
+        if rng is None:
             self.w = np.zeros((c_out, c_in, kernel, kernel))
         else:
             fan_in = c_in * kernel * kernel
@@ -209,7 +209,7 @@ class ConditionerNet:
         self.layers = [
             Conv2d(c_in, hidden, kernel, rng.child("conv0")),
             Conv2d(hidden, hidden, kernel, rng.child("conv1")),
-            Conv2d(hidden, c_out, kernel, None, zero_init=True),
+            Conv2d(hidden, c_out, kernel, None),
         ]
         self.conv0, self.conv1, self.conv2 = self.layers  # the names params() uses
 

@@ -182,27 +182,19 @@ class Rng:
         return self._gen.integers(low, high, size=shape)
 
     def state_json(self) -> str:
-        st = self._gen.bit_generator.state
-        enc = {
-            "seed": self.seed,
-            "state": {k: v.tolist() for k, v in st["state"].items()},
-            "buffer": st["buffer"].tolist(),
-            "buffer_pos": st["buffer_pos"],
-            "has_uint32": st["has_uint32"],
-            "uinteger": st["uinteger"],
-        }
-        return json.dumps(enc, sort_keys=True)
+        """The seed and numpy's Philox state, less its name, as sorted-key JSON."""
+        state = self._gen.bit_generator.state
+        del state["bit_generator"]
+        return json.dumps({"seed": self.seed, **state}, sort_keys=True,
+                          default=lambda a: a.tolist())
 
     @classmethod
     def from_state_json(cls, text: str) -> "Rng":
-        enc = json.loads(text)
-        rng = cls(enc["seed"])
-        rng._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {k: np.array(v, dtype=np.uint64) for k, v in enc["state"].items()},
-            "buffer": np.array(enc["buffer"], dtype=np.uint64),
-            "buffer_pos": enc["buffer_pos"],
-            "has_uint32": enc["has_uint32"],
-            "uinteger": enc["uinteger"],
-        }
+        """The stream state_json wrote. numpy does not bound buffer_pos, the
+        index of the next of the 4 buffered words (4: none left)."""
+        state = json.loads(text)
+        rng = cls(state.pop("seed"))
+        if not 0 <= state["buffer_pos"] <= 4:
+            raise ValueError(f"buffer_pos {state['buffer_pos']!r} is outside 0..4")
+        rng._gen.bit_generator.state = {**state, "bit_generator": "Philox"}
         return rng

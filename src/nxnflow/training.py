@@ -16,6 +16,7 @@ from .tensor import Rng
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 CLIP_NORM = 50.0                      # global gradient-norm limit
+EVAL_BATCH = 256                      # evaluate_nll's batch size
 
 
 def dequantize(x_int: np.ndarray, bits: int, rng: Rng) -> np.ndarray:
@@ -148,7 +149,7 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
         try:
             states = json.loads(resume.rng_state)
             deq_rng, batch_rng = (Rng.from_state_json(states[k]) for k in ("dequantize", "batches"))
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, IndexError, OverflowError) as e:
             raise FormatError(f"checkpoint rng state is not a training stream state: {e!r}") from None
         start_step = resume.step
 
@@ -195,11 +196,11 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     return model, metrics
 
 
-def evaluate_nll(model: MultiScaleModel, data: np.ndarray, bits: int, seed: int,
-                 batch_size: int = 256) -> float:
-    """Mean NLL in nats over a dataset, with seeded dequantization at ``bits``,
-    which in image mode must be the model's own, and numpy's warnings off. A
-    non-finite NLL is a NumericError naming the batch."""
+def evaluate_nll(model: MultiScaleModel, data: np.ndarray, bits: int, seed: int) -> float:
+    """Mean NLL in nats over a dataset in batches of EVAL_BATCH rows, with
+    seeded dequantization at ``bits``, which in image mode must be the
+    model's own, and numpy's warnings off. A non-finite NLL is a
+    NumericError naming the batch."""
     rng = Rng(seed).child("eval_dequantize")
     image_mode = model.config.mode == "image"
     if image_mode and bits != model.config.bits:
@@ -207,8 +208,8 @@ def evaluate_nll(model: MultiScaleModel, data: np.ndarray, bits: int, seed: int,
     if data.shape[0] == 0:
         raise DataError("empty dataset")
     total = 0.0
-    for b, start in enumerate(range(0, data.shape[0], batch_size)):
-        batch = data[start:start + batch_size]
+    for b, start in enumerate(range(0, data.shape[0], EVAL_BATCH)):
+        batch = data[start:start + EVAL_BATCH]
         if image_mode:
             batch = dequantize(batch, bits, rng)
         try:

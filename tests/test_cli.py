@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import os
 import pathlib
 import struct
@@ -61,6 +62,14 @@ def write_cfg(tmp_path, text, name="cfg.txt"):
 def untrained_checkpoint(model):
     return ckpt_io.Checkpoint(model.config.to_text(), 0, ckpt_io.snapshot_params(model),
                               None, {}, {}, Rng(0).state_json())
+
+
+def edited_stream_states(edit) -> str:
+    """A checkpoint rng state whose two training streams are Rng(0)'s state,
+    as a dict, after edit(state)."""
+    state = json.loads(Rng(0).state_json())
+    edit(state)
+    return json.dumps(dict.fromkeys(("dequantize", "batches"), json.dumps(state)))
 
 
 def rank2_checkpoint(tmp_path, log_scale=0.0, log_u_diag=None, dim=2):
@@ -162,8 +171,9 @@ class TestCheckpointFormat:
         np.testing.assert_array_equal(fresh.theta, model.theta)
 
     @pytest.mark.parametrize("edit", [("model.hidden_width = 8", "model.hidden_width = 9"),
-                                      ("model.bits = 5", "model.shift = none")],
-                             ids=["other_value", "unknown_key"])
+                                      ("model.bits = 5", "model.shift = none"),
+                                      ("model.bits = 5", "model.bits = 5\ntrain.steps = 7")],
+                             ids=["other_value", "unknown_key", "train_key"])
     def test_echo_other_value_or_unknown_key_refused(self, edit):
         model = random_small_model(Rng(0))
         echo = model.config.to_text().replace(*edit)
@@ -371,7 +381,14 @@ class TestTrainCommand:
         assert rows[0] == "step,nll_nats,bpd,grad_norm,seconds"
         assert [int(r.split(",")[0]) for r in rows[1:]] == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("rng_state", ["not json", '{"dequantize": "{}", "batches": "{}"}'])
+    @pytest.mark.parametrize("rng_state", [
+        "not json", '{"dequantize": "{}", "batches": "{}"}',
+        pytest.param(edited_stream_states(lambda s: s["state"].update(counter=[0])),
+                     id="short_counter"),
+        pytest.param(edited_stream_states(lambda s: s.update(buffer_pos=1 << 40)),
+                     id="huge_buffer_pos"),
+        pytest.param(edited_stream_states(lambda s: s.update(buffer_pos=-1)),
+                     id="negative_buffer_pos")])
     def test_resume_malformed_rng_state_exit_code(self, tmp_path, capsys, rng_state):
         cfg = write_cfg(tmp_path, RANK2_CFG)
         out = tmp_path / "run"

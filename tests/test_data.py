@@ -124,30 +124,32 @@ class TestTextures:
 
 class TestPpm:
     def test_montage_roundtrip_header(self, tmp_path):
-        imgs = Rng(1).integers(0, 32, (4, 3, 8, 8)).astype(np.uint8)
+        # 8 images to a row; fewer make one row of that many
         p = tmp_path / "grid.ppm"
-        save_ppm_montage(imgs, 5, p, cols=2)
-        raw = p.read_bytes()
-        assert raw.startswith(b"P6\n16 16\n255\n")
+        for count, header in ((3, b"P6\n24 8\n255\n"), (8, b"P6\n64 8\n255\n"),
+                              (9, b"P6\n64 16\n255\n")):
+            save_ppm_montage(Rng(1).integers(0, 32, (count, 3, 8, 8)).astype(np.uint8), 5, p)
+            assert p.read_bytes().startswith(header)
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4])
     def test_montage_channels(self, tmp_path, c):
-        # 1 channel is grey, 2 are red and green, from 3 on the first 3 are RGB
-        imgs = Rng(c).integers(0, 32, (3, c, 4, 5)).astype(np.uint8)
+        # 1 channel is grey, 2 are red and green, from 3 on the first 3 are RGB;
+        # 10 images fill the first row of 8 and 2 cells of the second
+        imgs = Rng(c).integers(0, 32, (10, c, 4, 5)).astype(np.uint8)
         p = tmp_path / "grid.ppm"
-        save_ppm_montage(imgs, 5, p, cols=2)
-        header = b"P6\n10 8\n255\n"
+        save_ppm_montage(imgs, 5, p)
+        header = b"P6\n40 8\n255\n"
         raw = p.read_bytes()
         assert raw.startswith(header)
-        canvas = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(8, 10, 3)
+        canvas = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(8, 40, 3)
         scaled = imgs.astype(np.uint8) * 8  # 255 // 31
         rgb = {1: scaled[:, [0, 0, 0]],
                2: np.concatenate([scaled, np.zeros_like(scaled[:, :1])], axis=1),
                3: scaled, 4: scaled[:, :3]}[c].transpose(0, 2, 3, 1)
-        np.testing.assert_array_equal(canvas[:4, :5], rgb[0])
-        np.testing.assert_array_equal(canvas[:4, 5:], rgb[1])
-        np.testing.assert_array_equal(canvas[4:, :5], rgb[2])
-        assert not canvas[4:, 5:].any()
+        for i in range(10):
+            r, col = divmod(i, 8)
+            np.testing.assert_array_equal(canvas[4 * r:4 * r + 4, 5 * col:5 * col + 5], rgb[i])
+        assert not canvas[4:, 10:].any()
 
 
 class TestCsv:

@@ -254,3 +254,13 @@ class TestRng:
         expected = rng.normal((9,))
         restored = Rng.from_state_json(state)
         np.testing.assert_array_equal(restored.normal((9,)), expected)
+
+    def test_state_json_format(self):
+        # the bytes every NXNF checkpoint holds; a change here breaks resuming old runs
+        rng = Rng(3)
+        rng.normal((7,))
+        rng.integers(0, 5, (3,))
+        assert rng.state_json() == (
+            '{"buffer": [6129622372205925670, 12232489550271054975, 7445634849453901685, '
+            '6014204332765944656], "buffer_pos": 1, "has_uint32": 1, "seed": 3, '
+            '"state": {"counter": [3, 0, 0, 0], "key": [3, 0]}, "uinteger": 1427163922}')

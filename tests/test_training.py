@@ -246,16 +246,17 @@ class TestTrainLoop:
 
 class TestEvaluate:
     def test_nonfinite_nll_names_the_batch(self):
-        # z * z overflows for a point at 1e200, so log_prob is -inf there
+        # z * z overflows for a point at 1e200, so log_prob is -inf there;
+        # it is row 300, in the second batch of EVAL_BATCH = 256 rows
         model = random_small_model(Rng(0), mode="rank2")
-        data = Rng(1).normal((10, 2))
-        data[5, 0] = 1e200
-        assert math.isfinite(evaluate_nll(model, data[:4], 0, 0, batch_size=4))
+        data = Rng(1).normal((400, 2))
+        data[300, 0] = 1e200
+        assert math.isfinite(evaluate_nll(model, data[:256], 0, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError,
-                               match=r"^eval batch 1 \(first row 4\): non-finite NLL$"):
-                evaluate_nll(model, data, 0, 0, batch_size=4)
+                               match=r"^eval batch 1 \(first row 256\): non-finite NLL$"):
+                evaluate_nll(model, data, 0, 0)
 
     def test_bits_must_match_the_model(self):
         # 5-bit image data dequantized at 8 bits would be scored as 5-bit data
