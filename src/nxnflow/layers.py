@@ -16,8 +16,10 @@ A flow step's invertible layer is the Inv1x1 mix; the paper's n x n layer
 (a spatial shift, then that mix) is checked only by ``conv_reformulation``.
 The mix and the conditioner's Conv2d run one kernel pair,
 ``tensor.conv`` and ``tensor.conv_backward``; the mix passes its C x C
-matrix as a C x C x 1 x 1 kernel, and a kernel-3 conditioner on a grid of
-fewer than 9 pixels runs as one dense product per sample. A coupling's inverse keeps no caches:
+matrix as a C x C x 1 x 1 kernel. A kernel-3 conditioner builds its patch
+rows one cache-sized block of samples at a time in the forward and once, of
+the output gradient, in the backward; on a grid of fewer than 9 pixels it
+runs as one dense product per sample. A coupling's inverse keeps no caches:
 its conditioner, when pointwise (rank-2 mode), runs all three layers one
 block of pixel rows at a time (``ConditionerNet.forward_only``). Per-channel
 scales are stored as logs, so they stay strictly positive and an identity
@@ -169,11 +171,12 @@ class Conv2d:
     """Plain 3x3 / 1x1 convolution with zero padding and a bias.
 
     Forward and backward are ``tensor.conv`` and ``tensor.conv_backward``,
-    the kernel pair the 1x1 mix runs too: one product in one-thread blocks,
+    the kernel pair the 1x1 mix runs too: products in one-thread blocks,
     viewed as NCHW, of pixel patch rows with the kernel columns, or on a grid
     of fewer than k*k pixels of sample rows with the whole convolution's
-    matrix. The cache holds only the input, and backward rebuilds the rest.
-    Without an rng the kernel is zero.
+    matrix. A 3x3 forward builds the patch rows one block of samples at a
+    time; backward builds one patch matrix, of dy, for both gradients. The
+    cache holds only the input. Without an rng the kernel is zero.
     """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: Rng | None):

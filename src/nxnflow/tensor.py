@@ -2,12 +2,14 @@
 
 Tensors are plain ``numpy.ndarray`` values in one layout: rank-4
 batch-major NCHW (batch, channel, row, column). Every channel product in
-the model, the 1x1 mix included, is ``conv``: one product in one-thread
+the model, the 1x1 mix included, is ``conv``: products in one-thread
 blocks, viewed as NCHW, of the N*H*W x k*k*C_in patch rows with the kernel
 as k*k*C_in x C_out columns or, on a grid of fewer than k*k pixels, of the
 N x H*W*C_in sample rows with the H*W*C_in x H*W*C_out matrix of the whole
-convolution. All math is done in 64-bit floats so the finite-difference
-oracles have headroom.
+convolution. A k > 1 forward builds and multiplies its patch rows one block
+of samples at a time, at most PATCH_BLOCK doubles of patches each, so a
+block stays in cache and no whole-batch patch matrix exists. All math is
+done in 64-bit floats so the finite-difference oracles have headroom.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .errors import ShapeError
 # OpenBLAS runs a dgemm of at most this many multiply-adds (m*n*k) on one
 # thread; a larger one wakes its worker pool, which keeps spinning after the call.
 ONE_THREAD_MNK = 1 << 18
+# A k > 1 conv forward builds the patch rows of at most this many doubles
+# (512 KB, or of one sample if that is more) at a time, well inside L2.
+PATCH_BLOCK = 1 << 16
 
 
 def nchw(x: np.ndarray) -> tuple[int, int, int, int]:
@@ -87,28 +92,38 @@ def conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """x convolved with a C_out x C_in x k x k kernel (odd k, stride 1, zero
     padding to the same extents, no bias); a 1x1 kernel is a channel matrix.
     On a grid of fewer than k*k pixels it is one dense product per sample, so
-    no padding tap is copied or multiplied. The result is an NCHW view of
-    channels-last memory."""
+    no padding tap is copied or multiplied. Otherwise a k > 1 kernel fills
+    one N*H*W x C_out result a block of samples at a time, building and
+    multiplying the patch rows of at most PATCH_BLOCK doubles (one sample at
+    least) per block. The result is an NCHW view of channels-last memory."""
     n, c, h, w = nchw(x)
     if kernel.ndim != 4 or kernel.shape[1] != c or kernel.shape[2] != kernel.shape[3]:
         raise ShapeError(f"kernel {kernel.shape} does not fit {c} input channels")
     d, k, p = kernel.shape[0], kernel.shape[2], h * w
     cols = kernel.transpose(2, 3, 1, 0).reshape(-1, d)
-    if 1 < k and p < k * k:  # the (input pixel, channel) x (output pixel, channel) matrix
+    if k == 1:
+        y = _row_product(_patches(x, 1), cols)
+    elif p < k * k:  # the (input pixel, channel) x (output pixel, channel) matrix
         cols = (_taps(h, w, k).T @ cols.reshape(k * k, c * d)).reshape(p, p, c, d)
         y = _row_product(x.transpose(0, 2, 3, 1).reshape(n, p * c),
                          cols.transpose(0, 2, 1, 3).reshape(p * c, p * d))
     else:
-        y = _row_product(_patches(x, k), cols)
+        y = np.empty((n * p, d))
+        per = max(1, PATCH_BLOCK // (p * k * k * c))
+        for s in range(0, n, per):
+            y[s * p:(s + per) * p] = _row_product(_patches(x[s:s + per], k), cols)
     return y.reshape(n, h, w, d).transpose(0, 3, 1, 2)
 
 
 def conv_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray):
     """(dx, dkernel): the adjoints of conv(x, kernel) for the output
     gradient dy. dx is dy convolved with the flipped, channel-transposed
-    kernel, which at k = 1 is dy's pixel rows times the C_out x C_in matrix.
-    dkernel is one product of dy's pixel rows, transposed, with the patch
-    rows; on a grid of fewer than k*k pixels, the tap matrix times X^T dY."""
+    kernel. At k = 1 that is dy's pixel rows times the C_out x C_in matrix,
+    and dkernel is dy's pixel rows, transposed, times x's. At k > 1 one
+    patch matrix, of dy, gives both: dx is its product with the flipped
+    kernel's columns, and dkernel is x's pixel rows, transposed, times it,
+    with the taps flipped back. On a grid of fewer than k*k pixels dkernel
+    is the tap matrix times X^T dY, and dx the dense flipped conv."""
     d, c, k, _ = kernel.shape
     if nchw(dy)[:2] != (x.shape[0], d) or dy.shape[2:] != x.shape[2:]:
         raise ShapeError(f"gradient {dy.shape} does not fit input {x.shape}")
@@ -117,14 +132,17 @@ def conv_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray):
     if 1 < k and p < k * k:  # X^T dY: (input pixel, channel) x (output pixel, channel)
         xty = x.transpose(0, 2, 3, 1).reshape(n, p * c).T @ dy.transpose(0, 2, 3, 1).reshape(n, p * d)
         dkernel = _taps(h, w, k) @ xty.reshape(p, c, p, d).transpose(0, 2, 1, 3).reshape(p * p, c * d)
-        dkernel = dkernel.reshape(k, k, c, d).transpose(3, 0, 1, 2)
-    else:
-        rows = _patches(dy, 1)
-        dkernel = (rows.T @ _patches(x, k)).reshape(d, k, k, c)
-    if k == 1:
-        dx = _row_product(rows, kernel[:, :, 0, 0]).reshape(n, h, w, c).transpose(0, 3, 1, 2)
-    else:
         dx = conv(dy, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        return dx, dkernel.reshape(k, k, c, d).transpose(3, 2, 0, 1)
+    if k == 1:
+        rows = _patches(dy, 1)
+        dkernel = (rows.T @ _patches(x, 1)).reshape(d, k, k, c)
+        cols = kernel[:, :, 0, 0]
+    else:
+        rows = _patches(dy, k)
+        dkernel = (_patches(x, 1).T @ rows).reshape(c, k, k, d)[:, ::-1, ::-1].transpose(3, 1, 2, 0)
+        cols = kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c)
+    dx = _row_product(rows, cols).reshape(n, h, w, c).transpose(0, 3, 1, 2)
     return dx, dkernel.transpose(0, 3, 1, 2)
 
 
@@ -190,11 +208,16 @@ class Rng:
 
     @classmethod
     def from_state_json(cls, text: str) -> "Rng":
-        """The stream state_json wrote. numpy does not bound buffer_pos, the
-        index of the next of the 4 buffered words (4: none left)."""
+        """The stream state_json wrote. numpy truncates a value that is not an
+        integer (1.5, or true) and does not bound buffer_pos, the index of the
+        next of the 4 buffered words (4: none left); a state that does not
+        read back as written, or a buffer_pos outside 0..4, is a ValueError."""
         state = json.loads(text)
-        rng = cls(state.pop("seed"))
+        rng = cls(state["seed"])
         if not 0 <= state["buffer_pos"] <= 4:
             raise ValueError(f"buffer_pos {state['buffer_pos']!r} is outside 0..4")
         rng._gen.bit_generator.state = {**state, "bit_generator": "Philox"}
+        if rng.state_json() != json.dumps(state, sort_keys=True):
+            raise ValueError("stream state does not read back as written "
+                             "(a value that is not an integer, or an unknown key)")
         return rng

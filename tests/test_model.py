@@ -305,6 +305,22 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < n * cfg.hidden_width * 8
 
+    def test_image_log_prob_keeps_no_whole_batch_patch_matrix(self):
+        # the kernel-3 convs build patch rows one block of samples at a time,
+        # so the peak stays below one level-0 N*H*W x 9*hidden patch matrix
+        cfg = ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8, levels=2,
+                          hidden_width=32)
+        model = build_model(cfg, 0)
+        x = Rng(1).uniform((256, 3, 8, 8))
+        model.init_actnorms(x[:64])
+        tracemalloc.start()
+        try:
+            model.log_prob(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 4 * 4 * 9 * cfg.hidden_width * 8
+
 
 def nonfinite_model(seed: int, log_scale: float):
     """random_small_model whose level0/step1 actnorm overflows (+1e6) or

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from nxnflow.errors import ShapeError
 from nxnflow.layers import ChannelAffine
 from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _patches, _row_product, _taps, conv, conv_backward,
                             lu_factor)
+from nxnflow.verify import direct_convolution
 
 
 def affine(scale, bias):
@@ -221,6 +224,44 @@ class TestSmallGrid:
             taps[0, 0] = 1.0
 
 
+class TestSampleBlocks:
+    # a k = 3 conv on a grid of at least 9 pixels builds and multiplies the
+    # patch rows of at most PATCH_BLOCK doubles (one sample at least) at a time
+    @pytest.mark.parametrize("block, sizes", [(2 * 20 * 27, [2, 2, 2, 1]), (1, [1] * 7)])
+    def test_blocks_match_one_product(self, block, sizes, monkeypatch):
+        calls = []
+        patches = tensor._patches
+        monkeypatch.setattr(tensor, "_patches", lambda a, k: calls.append(len(a)) or patches(a, k))
+        monkeypatch.setattr(tensor, "PATCH_BLOCK", block)
+        rng = Rng(11)
+        x, kernel = rng.normal((7, 3, 4, 5)), rng.normal((4, 3, 3, 3))
+        y = conv(x, kernel)
+        assert calls == sizes
+        for xs, ys in zip(x, y):
+            np.testing.assert_allclose(ys, direct_convolution(kernel, xs), rtol=0, atol=1e-12)
+        cols = kernel.transpose(2, 3, 1, 0).reshape(-1, 4)
+        whole = _row_product(patches(x, 3), cols).reshape(7, 4, 5, 4).transpose(0, 3, 1, 2)
+        assert np.array_equal(y, whole)
+
+    def test_empty_batch(self):
+        kernel = Rng(2).normal((4, 3, 3, 3))
+        assert conv(np.zeros((0, 3, 4, 5)), kernel).shape == (0, 4, 4, 5)
+        dx, dkernel = conv_backward(np.zeros((0, 4, 4, 5)), np.zeros((0, 3, 4, 5)), kernel)
+        assert dx.shape == (0, 3, 4, 5)
+        assert np.array_equal(dkernel, np.zeros((4, 3, 3, 3)))
+
+    def test_backward_builds_one_patch_matrix_of_dy(self, monkeypatch):
+        # dx and dkernel both come from dy's patch rows; x's pixel rows are a k = 1 call
+        calls = []
+        patches = tensor._patches
+        monkeypatch.setattr(tensor, "_patches",
+                            lambda a, k: calls.append((k, a is dy)) or patches(a, k))
+        rng = Rng(12)
+        x, dy, kernel = rng.normal((2, 3, 3, 4)), rng.normal((2, 4, 3, 4)), rng.normal((4, 3, 3, 3))
+        conv_backward(dy, x, kernel)
+        assert [call for call in calls if call[0] == 3] == [(3, True)]
+
+
 class TestLuFactor:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -264,3 +305,19 @@ class TestRng:
             '{"buffer": [6129622372205925670, 12232489550271054975, 7445634849453901685, '
             '6014204332765944656], "buffer_pos": 1, "has_uint32": 1, "seed": 3, '
             '"state": {"counter": [3, 0, 0, 0], "key": [3, 0]}, "uinteger": 1427163922}')
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda s: s["state"]["counter"].__setitem__(0, 1.5), id="counter"),
+        pytest.param(lambda s: s["state"]["key"].__setitem__(0, 1.5), id="key"),
+        pytest.param(lambda s: s["buffer"].__setitem__(0, 1.5), id="buffer"),
+        pytest.param(lambda s: s.update(has_uint32=1.7), id="has_uint32"),
+        pytest.param(lambda s: s.update(uinteger=1.5), id="uinteger"),
+        pytest.param(lambda s: s.update(buffer_pos=2.5), id="buffer_pos"),
+        pytest.param(lambda s: s.update(buffer_pos=True), id="buffer_pos_bool"),
+        pytest.param(lambda s: s.update(seed=3.7), id="seed")])
+    def test_state_rejects_non_integer(self, edit):
+        # numpy would truncate each of these and resume a different stream
+        state = json.loads(Rng(3).state_json())
+        edit(state)
+        with pytest.raises(ValueError, match="does not read back as written"):
+            Rng.from_state_json(json.dumps(state))
