@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateChannelError, ShapeError, StateError
-from .tensor import ONE_THREAD_MNK, Rng, conv, conv_backward, lu_factor, nchw
+from .tensor import ONE_THREAD_MNK, Rng, _row_product, conv, conv_backward, lu_factor, nchw
 
 
 class ChannelAffine:
@@ -234,13 +234,15 @@ class ConditionerNet:
         """forward(x)[0] with no caches. A pointwise net (kernel 1) runs all
         three layers on one block of pixel rows at a time, every product at
         most ONE_THREAD_MNK multiply-adds, and writes each block's output
-        into one preallocated result, so no N*H*W x hidden array exists. A
-        kernel-3 net runs ``forward``."""
+        into one preallocated result, so no N*H*W x hidden array exists. Its
+        products are conv's, C-contiguous kernel columns through
+        ``_row_product``, so a block equals ``forward``'s rows bit for bit.
+        A kernel-3 net runs ``forward``."""
         if self.layers[0].w.shape[2] != 1:
             return self.forward(x)[0]
         n, c, h, w = nchw(x)
         rows = x.transpose(0, 2, 3, 1).reshape(-1, c)
-        cols = [layer.w[:, :, 0, 0].T for layer in self.layers]
+        cols = [np.ascontiguousarray(layer.w[:, :, 0, 0].T) for layer in self.layers]
         d = cols[-1].shape[1]
         out = np.empty((rows.shape[0], d))
         block = max(1, ONE_THREAD_MNK // max(m.size for m in cols))
@@ -249,7 +251,7 @@ class ConditionerNet:
             for i, (m, layer) in enumerate(zip(cols, self.layers)):
                 if i:  # relu between the convs
                     np.maximum(a, 0, out=a)
-                a = np.matmul(a, m)
+                a = _row_product(a, m)
                 a += layer.b
             out[start:start + block] = a
         return out.reshape(n, h, w, d).transpose(0, 3, 1, 2)

@@ -6,10 +6,13 @@ the model, the 1x1 mix included, is ``conv``: products in one-thread
 blocks, viewed as NCHW, of the N*H*W x k*k*C_in patch rows with the kernel
 as k*k*C_in x C_out columns or, on a grid of fewer than k*k pixels, of the
 N x H*W*C_in sample rows with the H*W*C_in x H*W*C_out matrix of the whole
-convolution. A k > 1 forward builds and multiplies its patch rows one block
-of samples at a time, at most PATCH_BLOCK doubles of patches each, so a
-block stays in cache and no whole-batch patch matrix exists. All math is
-done in 64-bit floats so the finite-difference oracles have headroom.
+convolution. The kernel columns are one C-contiguous array (OpenBLAS
+multiplies a transposed operand slower), and a product with one input
+channel is the exact broadcast rows * cols[0], not a K = 1 dgemm. A k > 1
+forward builds and multiplies its patch rows one block of samples at a
+time, at most PATCH_BLOCK doubles of patches each, so a block stays in cache
+and no whole-batch patch matrix exists. All math is done in 64-bit floats
+so the finite-difference oracles have headroom.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import hashlib
 import json
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -39,10 +41,13 @@ def nchw(x: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def _row_product(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """rows @ cols (M x K times K x D): one call when it is at most
-    ONE_THREAD_MNK multiply-adds, else stacked products of row blocks of at
-    most that many each, then one for the rest. M = 0 makes no call."""
+    """rows @ cols (M x K times K x D): at K = 1 the exact broadcast
+    rows * cols[0], faster than a K = 1 dgemm; else one call when it is at
+    most ONE_THREAD_MNK multiply-adds, else stacked products of row blocks of
+    at most that many each, then one for the rest. M = 0 makes no call."""
     (m, k), d = rows.shape, cols.shape[1]
+    if k == 1:
+        return rows * cols[0]
     if 0 < m * k * d <= ONE_THREAD_MNK:
         return np.matmul(rows, cols)
     out = np.empty((m, d))
@@ -61,9 +66,10 @@ def _patches(x: np.ndarray, k: int) -> np.ndarray:
     zero-padded k x k neighbourhood of pixel (i, j) of sample n, ordered
     (row tap, column tap, channel) like the kernel columns of ``conv``. A
     tap row's k*C values are contiguous in the padded channels-last copy, so
-    the one copy that builds the matrix moves runs of k*C doubles. For k = 1
-    the rows are the pixels' channel fibers, a view when x is channels-last
-    in memory."""
+    the one copy that builds the matrix, from a read-only strided view made
+    by the ndarray constructor (as_strided costs about 8x as much a call),
+    moves runs of k*C doubles. For k = 1 the rows are the pixels' channel
+    fibers, a view when x is channels-last in memory."""
     n, c, h, w = nchw(x)
     if k == 1:
         return x.transpose(0, 2, 3, 1).reshape(-1, c)
@@ -71,7 +77,8 @@ def _patches(x: np.ndarray, k: int) -> np.ndarray:
     xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
     xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
     sn, si, sj, sc = xp.strides
-    rows = as_strided(xp, (n, h, w, k, k * c), (sn, si, sj, si, sc), writeable=False)
+    rows = np.ndarray((n, h, w, k, k * c), xp.dtype, xp, 0, (sn, si, sj, si, sc))
+    rows.flags.writeable = False
     return rows.reshape(n * h * w, k * k * c)
 
 
@@ -90,9 +97,10 @@ def _taps(h: int, w: int, k: int) -> np.ndarray:
 
 def conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """x convolved with a C_out x C_in x k x k kernel (odd k, stride 1, zero
-    padding to the same extents, no bias); a 1x1 kernel is a channel matrix.
-    On a grid of fewer than k*k pixels it is one dense product per sample, so
-    no padding tap is copied or multiplied. Otherwise a k > 1 kernel fills
+    padding to the same extents, no bias); a 1x1 kernel is a channel matrix,
+    whose C-contiguous C_in x C_out columns ``ConditionerNet.forward_only``
+    multiplies too. On a grid of fewer than k*k pixels it is one dense
+    product per sample, so no padding tap is copied or multiplied. Otherwise a k > 1 kernel fills
     one N*H*W x C_out result a block of samples at a time, building and
     multiplying the patch rows of at most PATCH_BLOCK doubles (one sample at
     least) per block. The result is an NCHW view of channels-last memory."""
@@ -100,7 +108,8 @@ def conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if kernel.ndim != 4 or kernel.shape[1] != c or kernel.shape[2] != kernel.shape[3]:
         raise ShapeError(f"kernel {kernel.shape} does not fit {c} input channels")
     d, k, p = kernel.shape[0], kernel.shape[2], h * w
-    cols = kernel.transpose(2, 3, 1, 0).reshape(-1, d)
+    # at k = 1 the reshape is a transposed view: copy it to C order
+    cols = np.ascontiguousarray(kernel.transpose(2, 3, 1, 0).reshape(-1, d))
     if k == 1:
         y = _row_product(_patches(x, 1), cols)
     elif p < k * k:  # the (input pixel, channel) x (output pixel, channel) matrix
@@ -209,9 +218,10 @@ class Rng:
     @classmethod
     def from_state_json(cls, text: str) -> "Rng":
         """The stream state_json wrote. numpy truncates a value that is not an
-        integer (1.5, or true) and does not bound buffer_pos, the index of the
-        next of the 4 buffered words (4: none left); a state that does not
-        read back as written, or a buffer_pos outside 0..4, is a ValueError."""
+        integer (1.5, or true) and bounds neither buffer_pos, the index of the
+        next of the 4 buffered words (4: none left), nor the has_uint32 flag;
+        a state that does not read back as written, a buffer_pos outside 0..4
+        or a has_uint32 other than 0 or 1 is a ValueError."""
         state = json.loads(text)
         rng = cls(state["seed"])
         if not 0 <= state["buffer_pos"] <= 4:
@@ -220,4 +230,6 @@ class Rng:
         if rng.state_json() != json.dumps(state, sort_keys=True):
             raise ValueError("stream state does not read back as written "
                              "(a value that is not an integer, or an unknown key)")
+        if state["has_uint32"] not in (0, 1):
+            raise ValueError(f"has_uint32 {state['has_uint32']!r} is not 0 or 1")
         return rng

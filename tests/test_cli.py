@@ -390,7 +390,9 @@ class TestTrainCommand:
         pytest.param(edited_stream_states(lambda s: s.update(buffer_pos=-1)),
                      id="negative_buffer_pos"),
         pytest.param(edited_stream_states(lambda s: s["state"].update(counter=[1.5, 0, 0, 0])),
-                     id="non_integer_counter")])
+                     id="non_integer_counter"),
+        pytest.param(edited_stream_states(lambda s: s.update(has_uint32=7)),
+                     id="has_uint32_7")])
     def test_resume_malformed_rng_state_exit_code(self, tmp_path, capsys, rng_state):
         cfg = write_cfg(tmp_path, RANK2_CFG)
         out = tmp_path / "run"

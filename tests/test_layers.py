@@ -382,15 +382,17 @@ class TestConditionerNet:
         assert grads.keys() == ref_grads.keys()
         assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
-    @pytest.mark.parametrize("n, grid", [(0, 1), (1, 1), (256, 1), (64, 2), (1000, 1), (250, 2)])
-    def test_forward_only_pointwise(self, n, grid):
-        # hidden 32 makes 256-row blocks: up to one block the products have
-        # forward's shapes; 1000 rows end in a ragged block of 232
+    # hidden 32 makes 256-row blocks: up to one block the products have
+    # forward's shapes; 1000 rows end in a ragged block of 232
+    POINTWISE = [(0, 1), (1, 1), (256, 1), (64, 2), (1000, 1), (250, 2)]
+
+    @staticmethod
+    def check_forward_only_pointwise(c_in, n, grid):
         rng = Rng(7)
-        net = ConditionerNet(3, 4, 32, 1, rng.child("net"))
+        net = ConditionerNet(c_in, 4, 32, 1, rng.child("net"))
         net.layers[2].w = rng.normal(net.layers[2].w.shape)
         net.layers[2].b = rng.normal(net.layers[2].b.shape)
-        x = rng.normal((n, 3, grid, grid))
+        x = rng.normal((n, c_in, grid, grid))
         x_before = x.copy()
         out = net.forward_only(x)
         ref = net.forward(x)[0]
@@ -400,6 +402,15 @@ class TestConditionerNet:
             np.testing.assert_array_equal(out, ref)
         else:
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, grid", POINTWISE)
+    def test_forward_only_pointwise(self, n, grid):
+        self.check_forward_only_pointwise(3, n, grid)
+
+    @pytest.mark.parametrize("n, grid", POINTWISE)
+    def test_forward_only_one_input_channel(self, n, grid):
+        # rank-2 dim 2 gives c_b = 1: the first product is a broadcast, not a K = 1 dgemm
+        self.check_forward_only_pointwise(1, n, grid)
 
     def test_forward_only_kernel3_is_forward(self):
         rng = Rng(8)

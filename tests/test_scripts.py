@@ -58,3 +58,17 @@ def test_run_checks(capsys, monkeypatch):
         "conv_reformulation", "conv_equiv/kernel",
         "quadrature/empty_flow", "quadrature/init_model",
     ]
+
+
+def test_fingerprint(capsys, monkeypatch):
+    runs = []
+    for _ in range(2):
+        assert run_script("fingerprint", ["--seed", "0", "--steps", "2"], monkeypatch) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]  # bit-exact run to run
+    assert [line.split()[0] for line in runs[0]] == ["rank2", "image"]
+    for line in runs[0]:
+        fields = dict(f.split("=") for f in line.split()[1:])
+        assert fields.keys() == {"seed", "steps", "theta", "log_prob", "sample"}
+        assert (fields["seed"], fields["steps"]) == ("0", "2")
+        assert all(len(fields[k]) == 64 for k in ("theta", "log_prob", "sample"))

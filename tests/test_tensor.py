@@ -103,6 +103,24 @@ class TestChannelMatmul:
         ref = np.einsum("dc,nchw->ndhw", w, x)
         np.testing.assert_allclose(conv(x, mix(w)), ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n, h, w", [(1, 1, 1), (300, 1, 1), (2, 4, 5)])
+    def test_one_input_channel_is_the_k1_product(self, n, h, w, monkeypatch):
+        # one input channel runs as the broadcast rows * cols[0], with no dgemm
+        rng = Rng(11)
+        kernel = rng.normal((5, 1, 1, 1))
+        x = rng.normal((n, 1, h, w))
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(a) or matmul(*a, **kw))
+        out = conv(x, kernel)
+        monkeypatch.undo()
+        assert not calls
+        rows = x.transpose(0, 2, 3, 1).reshape(-1, 1)
+        ref = np.matmul(rows, kernel[:, :, 0, 0].T).reshape(n, h, w, 5).transpose(0, 3, 1, 2)
+        assert np.array_equal(out, ref)
+        for sample, y in zip(x, out):
+            np.testing.assert_allclose(y, direct_convolution(kernel, sample), rtol=0, atol=1e-12)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_composition(self, seed):
@@ -215,6 +233,17 @@ class TestSmallGrid:
         assert dx.shape == (0, 3, 2, 2)
         assert np.array_equal(dkernel, np.zeros((4, 3, 3, 3)))
 
+    def test_patch_view_is_read_only(self):
+        # on a 1x1 grid the k = 3 patch rows are a view of the padded copy
+        x = Rng(12).normal((4, 2, 1, 1))
+        rows = _patches(x, 3)
+        expected = np.zeros((4, 9, 2))
+        expected[:, 4] = x[:, :, 0, 0]
+        np.testing.assert_array_equal(rows, expected.reshape(4, 18))
+        assert not rows.flags.writeable and not rows.flags.owndata
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
     def test_tap_matrix_is_cached_and_read_only(self):
         taps = _taps(2, 2, 3)
         assert _taps(2, 2, 3) is taps
@@ -295,6 +324,14 @@ class TestRng:
         expected = rng.normal((9,))
         restored = Rng.from_state_json(state)
         np.testing.assert_array_equal(restored.normal((9,)), expected)
+
+    @pytest.mark.parametrize("value", [2, 7])
+    def test_state_rejects_has_uint32_other_than_0_or_1(self, value):
+        # numpy stores and reads back any has_uint32, then treats it as 1
+        state = json.loads(Rng(3).state_json())
+        state["has_uint32"] = value
+        with pytest.raises(ValueError, match="has_uint32"):
+            Rng.from_state_json(json.dumps(state))
 
     def test_state_json_format(self):
         # the bytes every NXNF checkpoint holds; a change here breaks resuming old runs
