@@ -20,8 +20,8 @@ matrix as a C x C x 1 x 1 kernel. A kernel-3 conditioner builds its patch
 rows one cache-sized block of samples at a time in the forward and once, of
 the output gradient, in the backward; on a grid of fewer than 9 pixels it
 runs as one dense product per sample. A coupling's inverse keeps no caches:
-its conditioner, when pointwise (rank-2 mode), runs all three layers one
-block of pixel rows at a time (``ConditionerNet.forward_only``). Per-channel
+its conditioner, when pointwise (rank-2 mode), runs its Conv2d layers on one
+block of samples at a time (``ConditionerNet.forward_only``). Per-channel
 scales are stored as logs, so they stay strictly positive and an identity
 initialization is a zero log.
 """
@@ -33,7 +33,12 @@ import math
 import numpy as np
 
 from .errors import DegenerateChannelError, ShapeError, StateError
-from .tensor import ONE_THREAD_MNK, Rng, _row_product, conv, conv_backward, lu_factor, nchw
+from .tensor import Rng, conv, conv_backward, lu_factor, nchw
+
+# Sampling runs a pointwise conditioner on blocks of samples whose every
+# activation is at most this many doubles: 128 KB, glibc's default mmap
+# threshold. Larger blocks page-faulted on every call, smaller ones cost time.
+ACTIVATION_BLOCK = 1 << 14
 
 
 class ChannelAffine:
@@ -231,30 +236,18 @@ class ConditionerNet:
         return h, caches
 
     def forward_only(self, x):
-        """forward(x)[0] with no caches. A pointwise net (kernel 1) runs all
-        three layers on one block of pixel rows at a time, every product at
-        most ONE_THREAD_MNK multiply-adds, and writes each block's output
-        into one preallocated result, so no N*H*W x hidden array exists. Its
-        products are conv's, C-contiguous kernel columns through
-        ``_row_product``, so a block equals ``forward``'s rows bit for bit.
-        A kernel-3 net runs ``forward``."""
+        """forward(x)[0], made for a pointwise net (kernel 1) one block of
+        samples at a time, each activation at most ACTIVATION_BLOCK doubles,
+        into one preallocated result: no N*H*W x hidden array exists and a
+        block's caches go with it. A kernel-3 net runs ``forward`` whole."""
         if self.layers[0].w.shape[2] != 1:
             return self.forward(x)[0]
-        n, c, h, w = nchw(x)
-        rows = x.transpose(0, 2, 3, 1).reshape(-1, c)
-        cols = [np.ascontiguousarray(layer.w[:, :, 0, 0].T) for layer in self.layers]
-        d = cols[-1].shape[1]
-        out = np.empty((rows.shape[0], d))
-        block = max(1, ONE_THREAD_MNK // max(m.size for m in cols))
-        for start in range(0, rows.shape[0], block):
-            a = rows[start:start + block]
-            for i, (m, layer) in enumerate(zip(cols, self.layers)):
-                if i:  # relu between the convs
-                    np.maximum(a, 0, out=a)
-                a = _row_product(a, m)
-                a += layer.b
-            out[start:start + block] = a
-        return out.reshape(n, h, w, d).transpose(0, 3, 1, 2)
+        n, _, h, w = nchw(x)
+        out = np.empty((n, h, w, self.layers[-1].w.shape[0])).transpose(0, 3, 1, 2)
+        per = max(1, ACTIVATION_BLOCK // (h * w * max(layer.w.shape[0] for layer in self.layers)))
+        for start in range(0, n, per):
+            out[start:start + per] = self.forward(x[start:start + per])[0]
+        return out
 
     def backward(self, dout, caches):
         grads = {}

@@ -97,10 +97,9 @@ def _taps(h: int, w: int, k: int) -> np.ndarray:
 
 def conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """x convolved with a C_out x C_in x k x k kernel (odd k, stride 1, zero
-    padding to the same extents, no bias); a 1x1 kernel is a channel matrix,
-    whose C-contiguous C_in x C_out columns ``ConditionerNet.forward_only``
-    multiplies too. On a grid of fewer than k*k pixels it is one dense
-    product per sample, so no padding tap is copied or multiplied. Otherwise a k > 1 kernel fills
+    padding to the same extents, no bias); a 1x1 kernel is a channel matrix.
+    On a grid of fewer than k*k pixels it is one dense product per sample, so
+    no padding tap is copied or multiplied. Otherwise a k > 1 kernel fills
     one N*H*W x C_out result a block of samples at a time, building and
     multiplying the patch rows of at most PATCH_BLOCK doubles (one sample at
     least) per block. The result is an NCHW view of channels-last memory."""

@@ -59,14 +59,18 @@ class Adam:
         self.m, self.v = flat_views(self._m, params), flat_views(self._v, params)
 
     def load_state(self, t: int, m: dict, v: dict) -> None:
-        """Continue from saved moments, whose names and shapes must be the
-        parameters' own."""
+        """Continue from saved moments: the parameters' names and shapes,
+        finite entries and v >= 0 (else the first update is non-finite)."""
         for what, saved in (("m", m), ("v", v)):
             bad = sorted(saved.keys() ^ self.m.keys()) or [
                 k for k in self.m if saved[k].shape != self.m[k].shape]
             if bad:
                 raise FormatError(f"optimizer state {what} does not match the model's "
                                   f"parameters at {bad[0]!r}")
+            need = "finite and >= 0" if what == "v" else "finite"
+            for k in self.m:
+                if not np.isfinite(saved[k]).all() or (what == "v" and (saved[k] < 0).any()):
+                    raise FormatError(f"optimizer state adam/{what}/{k} is not {need}")
         self.t = t
         for k in self.m:
             self.m[k][...] = m[k]
@@ -146,6 +150,9 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     else:
         if resume.adam_t is None:
             raise ConfigError("checkpoint has no optimizer state; cannot resume")
+        for what, count in (("step", resume.step), ("Adam t", resume.adam_t)):
+            if count + cfg.steps >= 1 << 64:  # the checkpoint stores both as u64
+                raise FormatError(f"checkpoint {what} {count} + {cfg.steps} steps exceeds 2^64 - 1")
         try:
             states = json.loads(resume.rng_state)
             deq_rng, batch_rng = (Rng.from_state_json(states[k]) for k in ("dequantize", "batches"))

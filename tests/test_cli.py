@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nxnflow import checkpoint as ckpt_io
-from nxnflow.cli import main
+from nxnflow.cli import _model_from_checkpoint, main
 from nxnflow.config import KNOWN_KEYS, RunConfig, parse_kv_lines
-from nxnflow.data import load_images, load_points_csv
+from nxnflow.data import gen_textures, load_images, load_points_csv, save_images
 from nxnflow.errors import ConfigError, FormatError
 from nxnflow.model import ModelConfig, MultiScaleModel, build_model
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
-from nxnflow.training import TrainConfig
+from nxnflow.training import TrainConfig, evaluate_nll
 
 RANK2_CFG = """
 # tiny toy run
@@ -325,6 +325,14 @@ class TestCheckpointFormat:
         except FormatError:
             pass  # failing closed is the contract; any other exception fails the test
 
+    def test_trailing_bytes_names_offset(self, tmp_path, capsys):
+        raw = trained_checkpoint_bytes()
+        p = tmp_path / "long.nxnf"
+        p.write_bytes(raw + b"\0")
+        assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"data error: trailing bytes after checkpoint (at byte offset {len(raw)})"]
+
     def test_restored_forward_identical(self, tmp_path):
         model = random_small_model(Rng(3))
         p = tmp_path / "m.nxnf"
@@ -458,6 +466,67 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg, "--out", str(out), "--resume", str(bad)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "optimizer state" in err[0] and name in err[0]
+
+    @staticmethod
+    def refused_resume(tmp_path, capsys, edit) -> list:
+        """Train 1 step, resume for 1 from that checkpoint after edit(ck); the
+        refusal must leave the run's files as they were. Returns stderr's lines."""
+        cfg = write_cfg(tmp_path, RANK2_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", "train.steps=1", "--out", str(out)]) == 0
+        ck = ckpt_io.load(out / "checkpoint.nxnf")
+        edit(ck)
+        bad = tmp_path / "bad.nxnf"
+        ckpt_io.save(ck, bad)
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--set", "train.steps=1", "--out", str(out),
+                     "--resume", str(bad)]) == 3
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == files
+        return capsys.readouterr().err.strip().splitlines()
+
+    @pytest.mark.parametrize("moment, value", [
+        pytest.param("v", -1e-3, id="negative_v"), pytest.param("m", np.nan, id="nan_m"),
+        pytest.param("v", np.inf, id="inf_v")])
+    def test_resume_poisoned_moment_exit_code(self, tmp_path, capsys, moment, value):
+        # such a moment makes the first update, and so theta, non-finite
+        name = "level0/step0/actnorm/bias"
+
+        def edit(ck):
+            getattr(ck, f"adam_{moment}")[name][0] = value
+
+        err = self.refused_resume(tmp_path, capsys, edit)
+        assert len(err) == 1 and f"adam/{moment}/{name}" in err[0]
+
+    @pytest.mark.parametrize("counter", ["step", "adam_t"])
+    def test_resume_counter_at_u64_limit_exit_code(self, tmp_path, capsys, counter):
+        err = self.refused_resume(tmp_path, capsys,
+                                  lambda ck: setattr(ck, counter, (1 << 64) - 1))
+        assert len(err) == 1 and "exceeds 2^64 - 1" in err[0]
+
+    @pytest.mark.parametrize("settings, message", [
+        (["model.mode=cube"], "unknown model mode 'cube'"),
+        (["model.bits=0"], "bits must be in [1, 8]"),
+        (["model.bits=9"], "bits must be in [1, 8]"),
+        (["model.dim=1"], "rank2 mode needs dim >= 2"),
+        (["model.dim=3", "model.levels=2"], "split needs an even channel count"),
+        (["model.dim=2", "model.levels=2"], "coupling needs >= 2 channels at every level")],
+        ids=["mode", "bits_0", "bits_9", "dim_1", "odd_split", "one_channel_level"])
+    def test_bad_model_config_exit_code(self, tmp_path, capsys, settings, message):
+        image = settings[0].startswith("model.bits")
+        cfg = write_cfg(tmp_path, IMAGE_CFG if image else RANK2_CFG)
+        out = tmp_path / "run"
+        args = [a for s in settings for a in ("--set", s)]
+        assert main(["train", "--config", cfg, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    def test_set_without_equals_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--set", "model.dim", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: --set expects key=value, got 'model.dim'"]
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, RANK2_CFG + "model.bogus = 1\n")
@@ -615,6 +684,40 @@ class TestEvalCommand:
         assert "csv dimension 3 != model dim 2" in capsys.readouterr().err
 
 
+class TestImageFileData:
+    """data.kind = nxni in train and an NXNI path in eval: the file must hold
+    the model's image shape at its bit depth."""
+
+    @staticmethod
+    def nxni(tmp_path, size=8, bits=5) -> str:
+        path = tmp_path / f"data_{size}_{bits}.nxni"
+        save_images(gen_textures(64, 3, size, bits, Rng(9)), path)
+        return str(path)
+
+    def test_train_and_eval_on_nxni(self, tmp_path, capsys):
+        data = self.nxni(tmp_path)
+        cfg = write_cfg(tmp_path, IMAGE_CFG + f"data.kind = nxni\ndata.path = {data}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        ck = str(out / "checkpoint.nxnf")
+        assert main(["eval", "--checkpoint", ck, "--data", data, "--seed", "2"]) == 0
+        model, _, _ = _model_from_checkpoint(ck)
+        nll = evaluate_nll(model, load_images(data).images, 5, 2)
+        assert capsys.readouterr().out.startswith(f"nll_nats={nll:.6f} ")
+
+    @pytest.mark.parametrize("size, bits, message", [
+        (4, 5, "dataset shape (3, 4, 4) does not match model config"),
+        (8, 4, "dataset bit depth 4 != model.bits 5")], ids=["shape", "bits"])
+    def test_mismatched_nxni_exit_code(self, tmp_path, capsys, size, bits, message):
+        data = self.nxni(tmp_path, size, bits)
+        cfg = write_cfg(tmp_path, IMAGE_CFG + f"data.kind = nxni\ndata.path = {data}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+
 class TestSampleCommand:
     @pytest.fixture()
     def trained_image(self, tmp_path):
@@ -710,3 +813,9 @@ class TestVerifyCommand:
         a = capsys.readouterr().out
         main(["verify", "--suite", "normalization", "--seed", "4"])
         assert capsys.readouterr().out == a
+
+    def test_report_out_file(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--suite", "conv_equiv", "--seed", "0", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert [f.name for f in tmp_path.iterdir()] == ["report.csv"]  # no temp file left

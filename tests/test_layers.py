@@ -8,8 +8,8 @@ from nxnflow.errors import DegenerateChannelError, ShapeError, StateError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nxnflow.layers import (ChannelAffine, ConditionerNet, Conv2d, Coupling, Inv1x1, Squeeze, split_channels,
-                            squeeze2x2, unsplit_channels, unsqueeze2x2)
+from nxnflow.layers import (ACTIVATION_BLOCK, ChannelAffine, ConditionerNet, Conv2d, Coupling, Inv1x1,
+                            Squeeze, split_channels, squeeze2x2, unsplit_channels, unsqueeze2x2)
 from nxnflow.model import standard_normal_logp
 from nxnflow.suites import LAYER_KINDS, random_layer
 from nxnflow.tensor import Rng
@@ -382,9 +382,9 @@ class TestConditionerNet:
         assert grads.keys() == ref_grads.keys()
         assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
-    # hidden 32 makes 256-row blocks: up to one block the products have
-    # forward's shapes; 1000 rows end in a ragged block of 232
-    POINTWISE = [(0, 1), (1, 1), (256, 1), (64, 2), (1000, 1), (250, 2)]
+    # hidden 32 makes blocks of 512 pixel rows (128 samples on a 2x2 grid);
+    # 1000 rows end in a ragged block of 488
+    POINTWISE = [(0, 1), (1, 1), (256, 1), (512, 1), (64, 2), (1000, 1), (250, 2)]
 
     @staticmethod
     def check_forward_only_pointwise(c_in, n, grid):
@@ -398,10 +398,7 @@ class TestConditionerNet:
         ref = net.forward(x)[0]
         assert out.shape == ref.shape == (n, 4, grid, grid)
         np.testing.assert_array_equal(x, x_before)
-        if n * grid * grid <= 256:
-            np.testing.assert_array_equal(out, ref)
-        else:
-            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("n, grid", POINTWISE)
     def test_forward_only_pointwise(self, n, grid):
@@ -411,6 +408,22 @@ class TestConditionerNet:
     def test_forward_only_one_input_channel(self, n, grid):
         # rank-2 dim 2 gives c_b = 1: the first product is a broadcast, not a K = 1 dgemm
         self.check_forward_only_pointwise(1, n, grid)
+
+    @pytest.mark.parametrize("hidden, n, blocks", [
+        (32, 1000, [512, 488]), (64, 600, [256, 256, 88]), (8, 3000, [2048, 952])])
+    def test_forward_only_runs_the_layers_in_blocks(self, hidden, n, blocks):
+        # each block of samples goes through every Conv2d.forward, and each of
+        # its activations is at most ACTIVATION_BLOCK doubles
+        net = ConditionerNet(2, 4, hidden, 1, Rng(3).child("net"))
+        seen = []
+        for i, layer in enumerate(net.layers):
+            def forward(x, i=i, run=layer.forward):
+                seen.append((i, x.shape[0]))
+                return run(x)
+            layer.forward = forward
+        net.forward_only(Rng(4).normal((n, 2, 1, 1)))
+        assert seen == [(i, b) for b in blocks for i in range(3)]
+        assert all(b * hidden <= ACTIVATION_BLOCK for b in blocks)
 
     def test_forward_only_kernel3_is_forward(self):
         rng = Rng(8)

@@ -291,7 +291,7 @@ class TestSampling:
             model.sample(1, 0.0, Rng(0))
 
     def test_rank2_sample_keeps_no_full_batch_hidden_array(self):
-        # each conditioner runs one block of 256 rows at a time, so the peak
+        # each conditioner runs one block of 512 rows at a time, so the peak
         # stays below one N x hidden array of doubles
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=8, levels=1, hidden_width=32)
         model = build_model(cfg, 0)

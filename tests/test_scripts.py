@@ -3,11 +3,13 @@ to exit 0 and writes what its usage line promises."""
 
 import importlib.util
 import pathlib
+import subprocess
 import sys
 
 from nxnflow.data import load_images, load_points_csv
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, args, monkeypatch) -> int:
@@ -72,3 +74,23 @@ def test_fingerprint(capsys, monkeypatch):
         assert fields.keys() == {"seed", "steps", "theta", "log_prob", "sample"}
         assert (fields["seed"], fields["steps"]) == ("0", "2")
         assert all(len(fields[k]) == 64 for k in ("theta", "log_prob", "sample"))
+
+
+def test_coverage():
+    # one test module under the settrace line coverage: a line per package
+    # module, the modules it never imports wholly unrun, tensor.py mostly run
+    run = subprocess.run([sys.executable, str(SCRIPTS / "coverage.py"), "tests/test_tensor.py",
+                          "-q"], cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    report = {}
+    for line in run.stdout.splitlines():
+        name, _, rest = line.partition(": ")
+        if name.endswith(".py") or name == "total":
+            missed, _, total = rest.split(" statement")[0].partition(" of ")
+            report[name] = int(missed), int(total)
+    modules = {f.name for f in (ROOT / "src" / "nxnflow").glob("*.py")}
+    assert report.keys() == modules | {"total"}
+    assert report["cli.py"][0] == report["cli.py"][1] > 0
+    assert report["tensor.py"][0] < report["tensor.py"][1] // 10
+    assert report["total"] == tuple(sum(v[i] for k, v in report.items() if k != "total")
+                                    for i in (0, 1))
