@@ -1,5 +1,5 @@
 """NXNF checkpoints: versioned little-endian snapshots of a model's state
-tree and its Adam moments.
+tree and its Adam state.
 
 Layout (all little-endian):
 
@@ -8,17 +8,19 @@ Layout (all little-endian):
     u64 step counter
     u32 array count; per array, sorted by name: u16 name length + name,
         u8 rank (<= 64), rank x u32 extents, float64 payload
-    u8 optimizer-present flag; if set: u64 Adam step t
+    u8 optimizer flag (always 1), u64 Adam step t
     u32 length + rng-state JSON (UTF-8)
 
 The arrays are the model's state tree (learnable parameters and the PLU
-buffers ``p``/``u_sign``) and, when the flag is set, the Adam moments of
-each learnable parameter as ``adam/m/<param>`` and ``adam/v/<param>``.
-Moments with the flag clear, a repeated array name, and text fields that
-are not UTF-8 raise FormatError at the offending byte. Version 5 is the only
-version read; versions 1-4 (older moment encodings or ``shift`` arrays) are
-refused.
-Round trips are bit-exact; loading refuses an echo of another config.
+buffers ``p``/``u_sign``) and the Adam moments of each learnable parameter
+as ``adam/m/<param>`` and ``adam/v/<param>``. An optimizer flag other than
+1, a repeated array name, and text fields that are not UTF-8 raise
+FormatError at the offending byte. Version 5 is the only version read;
+versions 1-4 (older moment encodings or ``shift`` arrays) are refused.
+Round trips are bit-exact; loading refuses an echo of another config. The
+state tree (``restore_model``) and, on resume, the moments go through
+``model.load_tree``: a missing, unknown, wrongly shaped or non-finite
+array is a FormatError naming it.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ MAX_BYTES = np.iinfo(np.intp).max  # numpy's limit on the bytes one shape spans
 
 @dataclass
 class Checkpoint:
+    """One NXNF file's contents. Every checkpoint carries its optimizer
+    state; a model that has not trained yet has t = 0 and zero moments."""
     config_text: str
     step: int
     params: dict          # the model's state tree, name -> float64 array
-    adam_t: int | None    # None when no optimizer state
+    adam_t: int           # Adam step count
     adam_m: dict          # Adam moments per learnable parameter name
     adam_v: dict
     rng_state: str        # JSON blob
@@ -75,19 +79,15 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
 
 def serialize(ckpt: Checkpoint) -> bytes:
     arrays = dict(ckpt.params)
-    if ckpt.adam_t is not None:
-        for what, moments in (("m", ckpt.adam_m), ("v", ckpt.adam_v)):
-            arrays.update({f"adam/{what}/{k}": v for k, v in moments.items()})
+    for what, moments in (("m", ckpt.adam_m), ("v", ckpt.adam_v)):
+        arrays.update({f"adam/{what}/{k}": v for k, v in moments.items()})
     cfg = ckpt.config_text.encode()
     parts = [NXNF_MAGIC, struct.pack("<I", NXNF_VERSION),
              struct.pack("<I", len(cfg)), cfg,
              struct.pack("<Q", ckpt.step),
              struct.pack("<I", len(arrays))]
     parts += [_pack_array(name, arrays[name]) for name in sorted(arrays)]
-    if ckpt.adam_t is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<BQ", 1, ckpt.adam_t))
+    parts.append(struct.pack("<BQ", 1, ckpt.adam_t))
     rng = ckpt.rng_state.encode()
     parts.append(struct.pack("<I", len(rng)))
     parts.append(rng)
@@ -153,10 +153,10 @@ def deserialize(raw: bytes) -> Checkpoint:
         size = math.prod(shape)
         tree[key] = np.frombuffer(raw, "<f8", size, r.skip(8 * size)).reshape(shape).copy()
     flag_at = r.pos
-    (has_opt,) = r.unpack("<B")
-    if not has_opt and (adam_m or adam_v):
-        raise FormatError("adam/ arrays but the optimizer flag is clear", offset=flag_at)
-    adam_t = r.unpack("<Q")[0] if has_opt else None
+    (flag,) = r.unpack("<B")
+    if flag != 1:
+        raise FormatError(f"optimizer flag {flag} is not 1", offset=flag_at)
+    (adam_t,) = r.unpack("<Q")
     (rng_len,) = r.unpack("<I")
     rng_state = r.text(rng_len, "rng state")
     if r.pos != len(raw):

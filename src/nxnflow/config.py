@@ -67,8 +67,6 @@ class RunConfig:
         return cls(parse_kv_lines(text))
 
     def __getitem__(self, key):
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
 
     def model_config(self) -> ModelConfig:

@@ -144,6 +144,24 @@ def flat_views(flat: np.ndarray, tree: dict) -> dict:
     return {k: flat[e - a.size:e].reshape(a.shape) for (k, a), e in zip(tree.items(), ends)}
 
 
+def load_tree(own: dict, saved: dict, what: str) -> None:
+    """Copy each array of ``saved`` into the array of ``own`` of that name,
+    once every name is in both, every shape matches and every entry is
+    finite; otherwise a FormatError names the first bad array in name order
+    as ``what`` and nothing is copied."""
+    for name in sorted(own.keys() | saved.keys()):
+        if name not in own or name not in saved:
+            where = "checkpoint" if name in saved else "model"
+            raise FormatError(f"{what} {name} exists only in the {where}")
+        arr = saved[name]
+        if arr.shape != own[name].shape:
+            raise FormatError(f"{what} {name} has shape {arr.shape}, the model's is {own[name].shape}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{what} {name} is not finite")
+    for name, arr in own.items():
+        arr[...] = saved[name]
+
+
 class MultiScaleModel:
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
@@ -184,26 +202,17 @@ class MultiScaleModel:
                                     if isinstance(layer, Inv1x1) for b in ("p", "u_sign")}
 
     def set_state(self, tree: dict) -> None:
-        """Copy a saved state tree into the model and mark every actnorm
-        initialized. The names and shapes must be the model's own, each ``p``
-        a 0/1 permutation matrix and each ``u_sign`` entry +-1, or a
-        FormatError names the first bad array before anything is copied."""
-        own = self.state_tree()
-        for name in sorted(own.keys() | tree.keys()):
-            if name not in own or name not in tree:
-                where = "checkpoint" if name in tree else "model"
-                raise FormatError(f"state array {name} exists only in the {where}")
-            arr = tree[name]
-            if arr.shape != own[name].shape:
-                raise FormatError(f"state array {name} has shape {arr.shape}, "
-                                  f"the model's is {own[name].shape}")
-            if name.endswith("/p") and not (((arr == 0) | (arr == 1)).all()
+        """Copy a saved state tree into the model (``load_tree``) and mark
+        every actnorm initialized. Each ``p`` must also be a 0/1 permutation
+        matrix and each ``u_sign`` entry +-1, or a FormatError names the
+        first bad array before anything is copied."""
+        for name, arr in tree.items():
+            if name.endswith("/p") and not (arr.ndim == 2 and ((arr == 0) | (arr == 1)).all()
                                             and (arr.sum(0) == 1).all() and (arr.sum(1) == 1).all()):
                 raise FormatError(f"state array {name} is not a permutation matrix")
             if name.endswith("/u_sign") and not (np.abs(arr) == 1).all():
                 raise FormatError(f"state array {name} has an entry other than +1 or -1")
-        for name, arr in own.items():
-            arr[...] = tree[name]
+        load_tree(self.state_tree(), tree, "state array")
         for name, layer in self.flow:
             if name.endswith("/actnorm"):
                 layer.initialized = True

@@ -155,7 +155,7 @@ def conv_backward(dy: np.ndarray, x: np.ndarray, kernel: np.ndarray):
 
 
 def lu_factor(a: np.ndarray):
-    """LU with partial pivoting: returns (perm, lower, upper).
+    """LU of a square matrix with partial pivoting: returns (perm, lower, upper).
 
     perm is a row-permutation vector such that a[perm] = lower @ upper,
     lower has unit diagonal. There is no pivot tolerance: the one caller,
@@ -163,8 +163,6 @@ def lu_factor(a: np.ndarray):
     """
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ShapeError(f"matrix must be square, got {a.shape}")
     perm = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))

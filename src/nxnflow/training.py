@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .model import MultiScaleModel, bits_per_dim, flat_views
+from .model import MultiScaleModel, bits_per_dim, flat_views, load_tree
 from .tensor import Rng
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
@@ -59,22 +59,17 @@ class Adam:
         self.m, self.v = flat_views(self._m, params), flat_views(self._v, params)
 
     def load_state(self, t: int, m: dict, v: dict) -> None:
-        """Continue from saved moments: the parameters' names and shapes,
-        finite entries and v >= 0 (else the first update is non-finite)."""
-        for what, saved in (("m", m), ("v", v)):
-            bad = sorted(saved.keys() ^ self.m.keys()) or [
-                k for k in self.m if saved[k].shape != self.m[k].shape]
-            if bad:
-                raise FormatError(f"optimizer state {what} does not match the model's "
-                                  f"parameters at {bad[0]!r}")
-            need = "finite and >= 0" if what == "v" else "finite"
-            for k in self.m:
-                if not np.isfinite(saved[k]).all() or (what == "v" and (saved[k] < 0).any()):
-                    raise FormatError(f"optimizer state adam/{what}/{k} is not {need}")
+        """Continue from saved moments. ``load_tree`` checks them against the
+        parameters' names and shapes and for finite entries, naming each as
+        ``adam/m/<param>`` or ``adam/v/<param>``; v must also be >= 0 (else
+        the first update is non-finite)."""
+        for k, a in v.items():
+            if (a < 0).any():
+                raise FormatError(f"optimizer state adam/v/{k} has a negative entry")
+        own = {f"adam/{w}/{k}": a for w, tree in (("m", self.m), ("v", self.v)) for k, a in tree.items()}
+        saved = {f"adam/{w}/{k}": a for w, tree in (("m", m), ("v", v)) for k, a in tree.items()}
+        load_tree(own, saved, "optimizer state")
         self.t = t
-        for k in self.m:
-            self.m[k][...] = m[k]
-            self.v[k][...] = v[k]
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         """One in-place update of the flat parameter vector ``theta`` from
@@ -123,7 +118,8 @@ METRICS_HEADER = "step,nll_nats,bpd,grad_norm,seconds"
 
 def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
           on_checkpoint=None, log=None, resume=None):
-    """Minimize mean NLL on `data`; returns (model, list of MetricsRow).
+    """Minimize mean NLL on `data`, updating the model in place; each step's
+    MetricsRow goes to `log(row)`.
 
     `data` is integer-valued NCHW for image mode (dequantized per batch) or
     float N x D for rank-2 mode. `on_checkpoint(step, opt, rng_states)` is
@@ -148,8 +144,6 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
         batch_rng = rng.child("batches")
         start_step = 0
     else:
-        if resume.adam_t is None:
-            raise ConfigError("checkpoint has no optimizer state; cannot resume")
         for what, count in (("step", resume.step), ("Adam t", resume.adam_t)):
             if count + cfg.steps >= 1 << 64:  # the checkpoint stores both as u64
                 raise FormatError(f"checkpoint {what} {count} + {cfg.steps} steps exceeds 2^64 - 1")
@@ -174,7 +168,6 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     if resume is not None:
         opt.load_state(resume.adam_t, resume.adam_m, resume.adam_v)
 
-    metrics = []
     t0 = time.monotonic()
     for step in range(start_step + 1, start_step + cfg.steps + 1):
         batch = get_batch()
@@ -192,7 +185,6 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
         del g  # no gradient stays alive through the next forward pass
         row = MetricsRow(step, loss, bits_per_dim(loss, dims, cfg.bits if image_mode else 0),
                          gnorm, time.monotonic() - t0)
-        metrics.append(row)
         if log is not None:
             log(row)
         if on_checkpoint is not None and (step % cfg.checkpoint_every == 0
@@ -200,7 +192,6 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
             rng_states = {"dequantize": deq_rng.state_json(),
                           "batches": batch_rng.state_json()}
             on_checkpoint(step, opt, rng_states)
-    return model, metrics
 
 
 def evaluate_nll(model: MultiScaleModel, data: np.ndarray, bits: int, seed: int) -> float:

@@ -149,7 +149,6 @@ def conv_reformulation_check(kernel: np.ndarray, x: np.ndarray, shared_shift=Non
 
 @dataclass
 class RoundTripReport:
-    trials: int
     max_reconstruction: float
     max_logdet_asymmetry: float
 
@@ -172,7 +171,7 @@ def roundtrip_suite(make_layer, make_input, trials: int, rng: Rng) -> RoundTripR
         _, ld_again, _ = layer.forward(x_rec)
         max_rec = max(max_rec, float(np.max(np.abs(x - x_rec))))
         max_asym = max(max_asym, float(np.max(np.abs(ld_fwd - ld_again))))
-    return RoundTripReport(trials, max_rec, max_asym)
+    return RoundTripReport(max_rec, max_asym)
 
 
 def quadrature_normalization(model, bound: float = 6.0, step: float = 0.05) -> float:

@@ -60,8 +60,10 @@ def write_cfg(tmp_path, text, name="cfg.txt"):
 
 
 def untrained_checkpoint(model):
+    """A checkpoint of a model that has not trained: Adam t = 0, zero moments."""
+    m, v = ({k: np.zeros_like(a) for k, a in model.param_tree().items()} for _ in "mv")
     return ckpt_io.Checkpoint(model.config.to_text(), 0, ckpt_io.snapshot_params(model),
-                              None, {}, {}, Rng(0).state_json())
+                              0, m, v, Rng(0).state_json())
 
 
 def edited_stream_states(edit) -> str:
@@ -97,7 +99,7 @@ def trained_checkpoint_bytes() -> bytes:
 
 def first_rank_offset(ck) -> int:
     """Byte offset of the first array's rank in the serialized checkpoint."""
-    first = sorted(ck.params)[0]
+    first = min([*ck.params, *(f"adam/m/{k}" for k in ck.adam_m)])
     return 12 + len(ck.config_text.encode()) + 8 + 4 + 2 + len(first.encode())
 
 
@@ -152,9 +154,7 @@ class TestCheckpointFormat:
 
     def test_mismatched_config_refused(self, tmp_path):
         model = random_small_model(Rng(0))
-        ck = ckpt_io.Checkpoint(model.config.to_text(), 0,
-                                ckpt_io.snapshot_params(model),
-                                None, {}, {}, Rng(0).state_json())
+        ck = untrained_checkpoint(model)
         other = MultiScaleModel(ModelConfig(mode="rank2", dim=2, depth_k=1,
                                             levels=1, hidden_width=8), Rng(0))
         with pytest.raises(ConfigError):
@@ -209,6 +209,26 @@ class TestCheckpointFormat:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"offset {at}" in err[0]
 
+    @pytest.mark.parametrize("flag", [0, 2])
+    def test_optimizer_flag_other_than_one_names_offset(self, tmp_path, capsys, flag):
+        # flag 0 with no moments and no Adam t was the optimizer-less form;
+        # every file carries its optimizer state, so only 1 is read
+        ck = untrained_checkpoint(random_small_model(Rng(0)))
+        if flag == 0:
+            ck = dataclasses.replace(ck, adam_m={}, adam_v={})
+        raw = bytearray(ckpt_io.serialize(ck))
+        at = len(raw) - len(ck.rng_state.encode()) - 4 - 8 - 1  # flag, t, rng length
+        assert raw[at] == 1
+        raw[at:at + (9 if flag == 0 else 1)] = bytes([flag])
+        with pytest.raises(FormatError, match=f"optimizer flag {flag} is not 1") as e:
+            ckpt_io.deserialize(bytes(raw))
+        assert e.value.offset == at
+        p = tmp_path / "bad.nxnf"
+        p.write_bytes(bytes(raw))
+        assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"data error: optimizer flag {flag} is not 1 (at byte offset {at})"]
+
     @pytest.mark.parametrize("name, value", [
         ("level0/step0/mix/p", np.ones(1)),
         ("level0/step0/mix/p", np.eye(2)[None]),
@@ -235,6 +255,25 @@ class TestCheckpointFormat:
                      "--n", "64"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and name in err[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_nonfinite_parameter_exit_code(self, tmp_path, capsys, command, value):
+        # refused on load and named, not met later as a layer's non-finite output
+        name = "level0/step0/actnorm/log_scale"
+        model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                        hidden_width=8), 0)
+        ck = untrained_checkpoint(model)
+        ck.params[name][0] = value
+        p = tmp_path / "bad.nxnf"
+        ckpt_io.save(ck, p)
+        dst = tmp_path / "s.csv"
+        args = (["--data", "eight_gaussians", "--n", "64"] if command == "eval"
+                else ["--n", "4", "--out", str(dst)])
+        assert main([command, "--checkpoint", str(p), *args]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"data error: state array {name} is not finite"]
+        assert not dst.exists()
 
     @pytest.mark.parametrize("field", ["config echo", "array name", "rng state"])
     def test_non_utf8_text_names_offset(self, tmp_path, capsys, field):
@@ -263,10 +302,11 @@ class TestCheckpointFormat:
         name = b"level0/step0/actnorm/bias"
         record = struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 2)
         record += np.full(2, 100.0).astype("<f8").tobytes()
-        at = len(raw) - 1 - 4 - len(ck.rng_state.encode())  # the flag, rng length and state
+        at = len(raw) - 1 - 8 - 4 - len(ck.rng_state.encode())  # flag, t, rng length and state
         count_at = 12 + len(ck.config_text.encode()) + 8
+        (count,) = struct.unpack_from("<I", raw, count_at)
         raw = bytearray(raw[:at] + record + raw[at:])
-        raw[count_at:count_at + 4] = struct.pack("<I", len(ck.params) + 1)
+        raw[count_at:count_at + 4] = struct.pack("<I", count + 1)
         with pytest.raises(FormatError, match="level0/step0/actnorm/bias appears twice") as e:
             ckpt_io.deserialize(bytes(raw))
         assert e.value.offset == at
@@ -336,10 +376,7 @@ class TestCheckpointFormat:
     def test_restored_forward_identical(self, tmp_path):
         model = random_small_model(Rng(3))
         p = tmp_path / "m.nxnf"
-        ck = ckpt_io.Checkpoint(model.config.to_text(), 0,
-                                ckpt_io.snapshot_params(model),
-                                None, {}, {}, Rng(0).state_json())
-        ckpt_io.save(ck, p)
+        ckpt_io.save(untrained_checkpoint(model), p)
         fresh = MultiScaleModel(model.config, Rng(99))
         ckpt_io.restore_model(ckpt_io.load(p), fresh)
         x = Rng(4).normal((2, 2, 4, 4))
@@ -414,8 +451,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "rng state" in err[0]
 
-    @pytest.mark.parametrize("edit, code", [("rng_state", 3), ("no_optimizer", 2),
-                                            ("drop_moment", 3)])
+    @pytest.mark.parametrize("edit, code", [("rng_state", 3), ("drop_moment", 3)])
     def test_refused_resume_keeps_metrics(self, tmp_path, edit, code):
         # steps 1-3 are logged, then a resume from a broken step-2 checkpoint is refused
         cfg = write_cfg(tmp_path, RANK2_CFG)
@@ -427,8 +463,6 @@ class TestTrainCommand:
         logged = (out / "metrics.csv").read_text()
         if edit == "rng_state":
             ck.rng_state = "not json"
-        elif edit == "no_optimizer":
-            ck.adam_t = None
         else:
             del ck.adam_m["level0/step0/actnorm/bias"]
         bad = tmp_path / "bad.nxnf"
@@ -498,6 +532,17 @@ class TestTrainCommand:
         err = self.refused_resume(tmp_path, capsys, edit)
         assert len(err) == 1 and f"adam/{moment}/{name}" in err[0]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_resume_nonfinite_parameter_exit_code(self, tmp_path, capsys, value):
+        # named on load, not blamed on a training step that never ran
+        name = "level0/step0/actnorm/log_scale"
+
+        def edit(ck):
+            ck.params[name][0] = value
+
+        err = self.refused_resume(tmp_path, capsys, edit)
+        assert err == [f"data error: state array {name} is not finite"]
+
     @pytest.mark.parametrize("counter", ["step", "adam_t"])
     def test_resume_counter_at_u64_limit_exit_code(self, tmp_path, capsys, counter):
         err = self.refused_resume(tmp_path, capsys,
@@ -565,6 +610,14 @@ class TestTrainCommand:
         assert err == [f"config error: data.kind = {kind} requires data.path"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["rank2", "image"])
+    def test_zero_data_n_exit_code(self, tmp_path, capsys, mode):
+        cfg = write_cfg(tmp_path, RANK2_CFG if mode == "rank2" else IMAGE_CFG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--set", "data.n=0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: n must be >= 1"]
+        assert not out.exists()
+
     def test_no_partial_output_on_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, RANK2_CFG + "data.kind = nxni\n")
         out = tmp_path / "never"
@@ -585,6 +638,16 @@ class TestFileErrors:
         assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not dst.parent.exists()
+
+    def test_out_is_a_directory_exit_code(self, tmp_path, capsys):
+        # the rename onto a directory fails, and the temp file beside it goes
+        ck = rank2_checkpoint(tmp_path)
+        dst = tmp_path / "out"
+        dst.mkdir()
+        assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.nxnf", "out"]
+        assert not any(dst.iterdir())
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_nonfinite_csv_exit_code(self, tmp_path, capsys, command):
@@ -676,6 +739,11 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [
             f"numeric error: eval batch 0 (first row 0): {named}"]
+
+    def test_zero_n_exit_code(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", rank2_checkpoint(tmp_path),
+                     "--data", "eight_gaussians", "--n", "0"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: n must be >= 1"]
 
     def test_csv_dimension_mismatch_exit_code(self, trained, tmp_path, capsys):
         data = tmp_path / "three.csv"

@@ -68,6 +68,24 @@ class TestActNorm:
         with pytest.raises(StateError):
             ChannelAffine(2, data_init=True).forward(np.zeros((1, 2, 2, 2)))
 
+    def test_uninitialized_inverse_raises(self):
+        with pytest.raises(StateError, match="before init_from_batch"):
+            ChannelAffine(2, data_init=True).inverse(np.zeros((1, 2, 2, 2)))
+
+    def test_init_twice_raises(self):
+        layer = ChannelAffine(2, data_init=True)
+        layer.init_from_batch(Rng(0).normal((8, 2, 2, 2)))
+        before = layer.log_scale.copy(), layer.bias.copy()
+        with pytest.raises(StateError, match="already initialized"):
+            layer.init_from_batch(Rng(1).normal((8, 2, 2, 2)))
+        np.testing.assert_array_equal(layer.log_scale, before[0])
+        np.testing.assert_array_equal(layer.bias, before[1])
+
+    def test_init_from_one_sample_raises(self):
+        # one sample of a 1x1 grid has std 0 in every channel; the count is named
+        with pytest.raises(StateError, match="at least 2 samples"):
+            ChannelAffine(2, data_init=True).init_from_batch(Rng(0).normal((1, 2, 1, 1)))
+
     def test_init_hand_statistics(self):
         layer = ChannelAffine(1, data_init=True)
         batch = np.array([[1.0], [3.0]])[:, :, None, None]  # mu=2, sigma=1
