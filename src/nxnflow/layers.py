@@ -42,26 +42,21 @@ ACTIVATION_BLOCK = 1 << 14
 
 
 class ChannelAffine:
-    """Per-channel affine map y = exp(log_scale) * x + bias.
-
-    A flow step uses it as actnorm (``data_init=True``): it starts
-    uninitialized and ``init_from_batch`` sets it in place so the batch
-    leaves with zero mean and unit variance per channel. Without data init
-    it starts at the identity and trains freely. The Jacobian is diagonal,
-    so the log-det is H*W * sum_c log_scale_c.
+    """Per-channel affine map y = exp(log_scale) * x + bias, starting at the
+    identity. A flow step uses it as actnorm: the model's one-time
+    ``init_actnorms`` calls ``init_from_batch``, which sets it in place so
+    the batch leaves with zero mean and unit variance per channel. The
+    Jacobian is diagonal, so the log-det is H*W * sum_c log_scale_c.
     """
 
-    def __init__(self, channels: int, data_init: bool = False):
+    def __init__(self, channels: int):
         self.log_scale = np.zeros(channels)
         self.bias = np.zeros(channels)
-        self.initialized = not data_init
 
     def params(self):
         return {"log_scale": self.log_scale, "bias": self.bias}
 
     def init_from_batch(self, batch: np.ndarray) -> None:
-        if self.initialized:
-            raise StateError("channel affine layer already initialized")
         if batch.shape[0] < 2:
             raise StateError("data-dependent init needs at least 2 samples")
         nchw(batch)
@@ -74,18 +69,13 @@ class ChannelAffine:
             )
         self.log_scale[...] = -np.log(sigma)
         self.bias[...] = -mu / sigma
-        self.initialized = True
 
     def forward(self, x):
-        if not self.initialized:
-            raise StateError("channel affine layer used before init_from_batch")
         n, _, h, w = nchw(x)
         y = np.exp(self.log_scale)[None, :, None, None] * x + self.bias[None, :, None, None]
         return y, np.full(n, h * w * self.log_scale.sum()), {"x": x}
 
     def inverse(self, y):
-        if not self.initialized:
-            raise StateError("channel affine layer used before init_from_batch")
         nchw(y)
         scale = np.exp(self.log_scale)
         return (1.0 / scale)[None, :, None, None] * y + (-self.bias / scale)[None, :, None, None]
@@ -206,8 +196,8 @@ class ConditionerNet:
     """The coupling conditioner: conv -> relu -> conv -> relu -> conv(zero).
 
     Kernel size 3 for image data and 1 for rank-2 data (a 1x1 convolution
-    on a 1x1 grid is a dense layer). The zero-initialized output layer
-    makes the coupling start as the identity. ReLU works in place and keeps
+    on a 1x1 grid is a dense layer). The zero output layer makes the
+    coupling start as the identity. ReLU works in place and keeps
     no mask: the next conv caches its output, which is > 0 exactly where
     the pre-activation is, so backward takes the mask from that cache.
     ``forward_only`` is the cache-free pass the coupling's inverse runs.
@@ -265,8 +255,10 @@ class Coupling:
     """Affine coupling: y_a = x_a * s(x_b) + t(x_b), y_b = x_b.
 
     x_a is the first ceil(C/2) channels. s = exp(tanh(raw_s)) keeps the
-    per-entry log-det in [-1, 1] and the zero-initialized conditioner
-    makes the layer start as the identity.
+    per-entry log-det in [-1, 1] and the conditioner's zero output layer
+    makes the layer start as the identity. ``forward`` keeps the
+    conditioner's caches for backward; ``inverse`` runs its cache-free
+    ``forward_only``, so a pointwise conditioner makes no N*H*W x hidden array.
     """
 
     def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng):
@@ -279,27 +271,24 @@ class Coupling:
     def params(self):
         return {f"net/{k}": v for k, v in self.net.params().items()}
 
-    def _conditioner(self, x_b, keep_caches=True):
-        raw, caches = self.net.forward(x_b) if keep_caches else (self.net.forward_only(x_b), None)
-        raw_s, t = raw[:, :self.c_a], raw[:, self.c_a:]
-        th = np.tanh(raw_s)
-        s = np.exp(th)
-        return s, t, th, caches
+    def _scale_shift(self, raw):
+        """s, t and tanh(raw_s) from the conditioner's output."""
+        th = np.tanh(raw[:, :self.c_a])
+        return np.exp(th), raw[:, self.c_a:], th
 
     def forward(self, x):
         nchw(x)
         x_a, x_b = x[:, :self.c_a], x[:, self.c_a:]
-        s, t, th, caches = self._conditioner(x_b)
+        raw, caches = self.net.forward(x_b)
+        s, t, th = self._scale_shift(raw)
         y = np.concatenate([x_a * s + t, x_b], axis=1)
         cache = {"x_a": x_a, "s": s, "th": th, "net": caches}
         return y, th.sum(axis=(1, 2, 3)), cache
 
     def inverse(self, y):
-        """x from y through the conditioner's cache-free ``forward_only``; a
-        pointwise conditioner makes no N*H*W x hidden array."""
         nchw(y)
         y_a, y_b = y[:, :self.c_a], y[:, self.c_a:]
-        s, t, _, _ = self._conditioner(y_b, keep_caches=False)
+        s, t, _ = self._scale_shift(self.net.forward_only(y_b))
         return np.concatenate([(y_a - t) / s, y_b], axis=1)
 
     def backward(self, dy, dlogdet, cache):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateChannelError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateChannelError, FormatError, NumericError, ShapeError, StateError
 from .layers import ChannelAffine, Coupling, Inv1x1, Squeeze, split_channels, unsplit_channels
 from .tensor import Rng
 
@@ -113,7 +113,7 @@ class FlowStep:
     """actnorm -> 1x1 mix -> coupling, in that order."""
 
     def __init__(self, channels: int, hidden: int, kernel: int, rng: Rng):
-        self.actnorm = ChannelAffine(channels, data_init=True)
+        self.actnorm = ChannelAffine(channels)
         self.mix = Inv1x1(channels, rng.child("mix"))
         self.coupling = Coupling(channels, hidden, kernel, rng.child("coupling"))
 
@@ -165,6 +165,7 @@ def load_tree(own: dict, saved: dict, what: str) -> None:
 class MultiScaleModel:
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
+        self.initialized = False  # set once, by init_actnorms or set_state
         kernel = 3 if config.mode == "image" else 1
         self.steps = []  # per level: list of FlowStep
         self.flow = []   # (name, layer) in forward order; SPLIT between levels
@@ -202,10 +203,10 @@ class MultiScaleModel:
                                     if isinstance(layer, Inv1x1) for b in ("p", "u_sign")}
 
     def set_state(self, tree: dict) -> None:
-        """Copy a saved state tree into the model (``load_tree``) and mark
-        every actnorm initialized. Each ``p`` must also be a 0/1 permutation
-        matrix and each ``u_sign`` entry +-1, or a FormatError names the
-        first bad array before anything is copied."""
+        """Copy a saved state tree into the model (``load_tree``) and mark the
+        model initialized. Each ``p`` must also be a 0/1 permutation matrix
+        and each ``u_sign`` entry +-1, or a FormatError names the first bad
+        array before anything is copied."""
         for name, arr in tree.items():
             if name.endswith("/p") and not (arr.ndim == 2 and ((arr == 0) | (arr == 1)).all()
                                             and (arr.sum(0) == 1).all() and (arr.sum(1) == 1).all()):
@@ -213,12 +214,14 @@ class MultiScaleModel:
             if name.endswith("/u_sign") and not (np.abs(arr) == 1).all():
                 raise FormatError(f"state array {name} has an entry other than +1 or -1")
         load_tree(self.state_tree(), tree, "state array")
-        for name, layer in self.flow:
-            if name.endswith("/actnorm"):
-                layer.initialized = True
+        self.initialized = True
 
     def init_actnorms(self, batch: np.ndarray) -> None:
-        """Data-dependent actnorm init, layer by layer along the flow."""
+        """Data-dependent actnorm init, layer by layer along the flow: the
+        model's one-time step. Before it every actnorm is the identity; on an
+        initialized (or loaded) model it is a StateError that changes nothing."""
+        if self.initialized:
+            raise StateError("model already initialized; actnorm init runs once")
         h = self._check_input(batch)
         for name, layer in self.flow:
             if layer is None:
@@ -230,6 +233,7 @@ class MultiScaleModel:
                 except DegenerateChannelError as e:
                     raise DegenerateChannelError(f"{name}: {e}") from None
             h, _, _ = layer.forward(h)
+        self.initialized = True
 
     # -- forward / inverse --------------------------------------------------
 

@@ -127,7 +127,7 @@ class TestAcceptance:
         worst_mu, worst_sigma = 0.0, 0.0
         for trial in range(50):
             rng = Rng(300 + trial)
-            layer = ChannelAffine(4, data_init=True)
+            layer = ChannelAffine(4)
             x = 3.0 * rng.normal((16, 4, 5, 5)) - 2.0
             layer.init_from_batch(x)
             y, _, _ = layer.forward(x)

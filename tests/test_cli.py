@@ -4,6 +4,8 @@ import json
 import os
 import pathlib
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -79,9 +81,10 @@ def rank2_checkpoint(tmp_path, log_scale=0.0, log_u_diag=None, dim=2):
     and, when log_u_diag is given, whose first mix has that log_u_diag."""
     model = build_model(ModelConfig(mode="rank2", dim=dim, depth_k=2, levels=1,
                                     hidden_width=8), 0)
-    model.steps[0][0].actnorm.log_scale[:] = log_scale
+    params = model.param_tree()
+    params["level0/step0/actnorm/log_scale"][:] = log_scale
     if log_u_diag is not None:
-        model.steps[0][0].mix.log_u_diag[:] = log_u_diag
+        params["level0/step0/mix/log_u_diag"][:] = log_u_diag
     p = tmp_path / "m.nxnf"
     ckpt_io.save(untrained_checkpoint(model), p)
     return str(p)
@@ -834,9 +837,11 @@ class TestSampleCommand:
         # exp(-1e6) underflows to 0, so the actnorm's inverse divides by zero
         ck = rank2_checkpoint(tmp_path, log_scale=-1e6)
         dst = tmp_path / "s.csv"
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning besides the message
             assert main(["sample", "--checkpoint", ck, "--n", "4", "--out", str(dst)]) == 4
-        assert "level0/step0/actnorm" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "numeric error: non-finite activation at level0/step0/actnorm"]
         assert not dst.exists()
 
     def test_singular_mix_exit_code(self, tmp_path, capsys):
@@ -868,6 +873,25 @@ class TestSampleCommand:
                      "--out", str(dst)]) == 0
         assert load_images(dst).images.shape == (3, 2, 4, 4)
         assert (tmp_path / "samples.nxni.ppm").read_bytes().startswith(b"P6\n12 4\n255\n")
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("command, message", [
+        ("sample", "numeric error: non-finite activation at level0/step0/actnorm"),
+        ("train", "numeric error: step 2: non-finite activation at level0/step0/actnorm"),
+    ], ids=["sample", "train"])
+    def test_numeric_failure_is_one_stderr_line(self, tmp_path, command, message):
+        # numpy's RuntimeWarnings reach a real stderr, so run the module as a user does
+        if command == "sample":  # exp(-1e6) underflows to 0: the inverse divides by zero
+            args = ["--checkpoint", rank2_checkpoint(tmp_path, log_scale=-1e6), "--n", "4"]
+        else:  # the first Adam step overflows the actnorm's exp
+            args = ["--config", write_cfg(tmp_path, RANK2_CFG), "--set", "train.lr=1e300"]
+        src = str(pathlib.Path(ckpt_io.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-m", "nxnflow.cli", command, *args,
+                              "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert run.returncode == 4
+        assert run.stderr.splitlines() == [message]
 
 
 class TestVerifyCommand:

@@ -186,6 +186,10 @@ class TestImageDatasetInvariants:
         with pytest.raises(DataError):
             ImageDataset(images=np.full((1, 1, 2, 2), 40, dtype=np.uint8), bits=5)
 
+    def test_rank_enforced(self):
+        with pytest.raises(DataError, match="rank 4, got rank 3"):
+            ImageDataset(images=np.zeros((1, 2, 2), dtype=np.uint8), bits=5)
+
 
 @functools.cache
 def valid_inputs() -> dict:

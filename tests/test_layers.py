@@ -17,12 +17,6 @@ from nxnflow.verify import (check_input_gradient, check_param_gradients,
                             direct_convolution, numerical_jacobian)
 
 
-def identity_actnorm(channels):
-    layer = ChannelAffine(channels, data_init=True)
-    layer.initialized = True
-    return layer
-
-
 def plu_inv1x1(perm, log_scale=0.0):
     """An Inv1x1 with W = P exp(log_scale): row c of W picks input channel
     perm[c], L is the identity and U is diagonal."""
@@ -36,22 +30,22 @@ def plu_inv1x1(perm, log_scale=0.0):
     return layer
 
 
-def nxn_conv_forward(shift, mix, x):
-    """A per-channel affine shift followed by the 1x1 mix. A flow step's
-    invertible layer is the 1x1 PLU mix alone, after actnorm; these tests
-    pin the arithmetic of the composition."""
+def affine_then_mix_forward(shift, mix, x):
+    """A per-channel affine shift followed by the 1x1 mix, as in a flow
+    step's actnorm -> mix. Not the paper's n x n layer, whose shift is
+    spatial; these tests pin the arithmetic of the composition."""
     h, ld1, _ = shift.forward(x)
     y, ld2, _ = mix.forward(h)
     return y, ld1 + ld2
 
 
-def nxn_conv_inverse(shift, mix, y):
+def affine_then_mix_inverse(shift, mix, y):
     return shift.inverse(mix.inverse(y))
 
 
 class TestActNorm:
     def test_identity_at_unit_params(self):
-        layer = identity_actnorm(3)
+        layer = ChannelAffine(3)
         x = Rng(0).normal((2, 3, 4, 4))
         y, logdet, _ = layer.forward(x)
         np.testing.assert_array_equal(y, x)
@@ -59,35 +53,18 @@ class TestActNorm:
 
     def test_logdet_hand_value(self):
         # C=1, gamma=e, H=W=2 -> logdet = 4
-        layer = identity_actnorm(1)
+        layer = ChannelAffine(1)
         layer.log_scale = np.array([1.0])
         _, logdet, _ = layer.forward(np.zeros((1, 1, 2, 2)))
         assert logdet[0] == pytest.approx(4.0)
 
-    def test_uninitialized_raises(self):
-        with pytest.raises(StateError):
-            ChannelAffine(2, data_init=True).forward(np.zeros((1, 2, 2, 2)))
-
-    def test_uninitialized_inverse_raises(self):
-        with pytest.raises(StateError, match="before init_from_batch"):
-            ChannelAffine(2, data_init=True).inverse(np.zeros((1, 2, 2, 2)))
-
-    def test_init_twice_raises(self):
-        layer = ChannelAffine(2, data_init=True)
-        layer.init_from_batch(Rng(0).normal((8, 2, 2, 2)))
-        before = layer.log_scale.copy(), layer.bias.copy()
-        with pytest.raises(StateError, match="already initialized"):
-            layer.init_from_batch(Rng(1).normal((8, 2, 2, 2)))
-        np.testing.assert_array_equal(layer.log_scale, before[0])
-        np.testing.assert_array_equal(layer.bias, before[1])
-
     def test_init_from_one_sample_raises(self):
         # one sample of a 1x1 grid has std 0 in every channel; the count is named
         with pytest.raises(StateError, match="at least 2 samples"):
-            ChannelAffine(2, data_init=True).init_from_batch(Rng(0).normal((1, 2, 1, 1)))
+            ChannelAffine(2).init_from_batch(Rng(0).normal((1, 2, 1, 1)))
 
     def test_init_hand_statistics(self):
-        layer = ChannelAffine(1, data_init=True)
+        layer = ChannelAffine(1)
         batch = np.array([[1.0], [3.0]])[:, :, None, None]  # mu=2, sigma=1
         layer.init_from_batch(batch)
         assert np.exp(layer.log_scale[0]) == pytest.approx(1.0)
@@ -98,13 +75,13 @@ class TestActNorm:
     def test_init_fixed_point(self):
         rng = Rng(5)
         batch = rng.normal((4096, 3, 2, 2))
-        layer = ChannelAffine(3, data_init=True)
+        layer = ChannelAffine(3)
         layer.init_from_batch(batch)
         np.testing.assert_allclose(np.exp(layer.log_scale), 1.0, atol=0.05)
         np.testing.assert_allclose(layer.bias, 0.0, atol=0.05)
 
     def test_constant_channel_degenerate(self):
-        layer = ChannelAffine(2, data_init=True)
+        layer = ChannelAffine(2)
         batch = Rng(0).normal((8, 2, 2, 2))
         batch[:, 1] = 3.0
         with pytest.raises(DegenerateChannelError):
@@ -203,12 +180,12 @@ class TestCoupling:
         layer = Coupling(4, 8, 3, Rng(0))
         c_a = layer.c_a
 
-        def stub(x_b, keep_caches=True):
-            shape = (x_b.shape[0], c_a) + x_b.shape[2:]
+        def stub(raw):
+            shape = (raw.shape[0], c_a) + raw.shape[2:]
             th = np.full(shape, math.log(2.0))
-            return np.exp(th), np.ones(shape), th, None
+            return np.exp(th), np.ones(shape), th
 
-        layer._conditioner = stub
+        layer._scale_shift = stub
         x = Rng(1).normal((2, 4, 3, 3))
         y, logdet, _ = layer.forward(x)
         np.testing.assert_allclose(y[:, :c_a], 2.0 * x[:, :c_a] + 1.0)
@@ -256,7 +233,7 @@ class TestRank2ArraysRejected:
 
     def test_data_init(self):
         with pytest.raises(ShapeError):
-            ChannelAffine(2, data_init=True).init_from_batch(Rng(2).normal((8, 2)))
+            ChannelAffine(2).init_from_batch(Rng(2).normal((8, 2)))
 
 
 class TestConv2d:
@@ -469,6 +446,10 @@ class TestSqueezeSplit:
         with pytest.raises(ShapeError):
             squeeze2x2(np.zeros((1, 1, 3, 4)))
 
+    def test_unsqueeze_channels_not_divisible_by_4_rejected(self):
+        with pytest.raises(ShapeError, match="divisible by 4, got 6"):
+            unsqueeze2x2(np.zeros((1, 6, 2, 2)))
+
     def test_squeeze_layer_logdet_zero(self):
         layer = Squeeze()
         _, logdet, _ = layer.forward(np.zeros((2, 1, 2, 2)))
@@ -490,11 +471,12 @@ class TestSqueezeSplit:
 
 
 class TestNxnConv:
+    # a per-channel affine then the 1x1 mix, not the paper's n x n layer
     def test_identity_composition(self):
         shift = ChannelAffine(3)
         mix = plu_inv1x1([0, 1, 2])
         x = Rng(1).normal((2, 3, 4, 4))
-        y, logdet = nxn_conv_forward(shift, mix, x)
+        y, logdet = affine_then_mix_forward(shift, mix, x)
         np.testing.assert_allclose(y, x)
         np.testing.assert_array_equal(logdet, 0.0)
 
@@ -502,7 +484,7 @@ class TestNxnConv:
         shift = random_layer("shift", 3, Rng(2))
         mix = random_layer("inv1x1_plu", 3, Rng(3))
         x = Rng(4).normal((2, 3, 4, 4))
-        _, ld_total = nxn_conv_forward(shift, mix, x)
+        _, ld_total = affine_then_mix_forward(shift, mix, x)
         _, ld_s, _ = shift.forward(x)
         h, _, _ = shift.forward(x)
         _, ld_m, _ = mix.forward(h)
@@ -513,7 +495,7 @@ class TestNxnConv:
         shift = random_layer("shift", 3, Rng(5))
         mix = random_layer("inv1x1_plu", 3, Rng(6))
         x = Rng(7).normal((2, 3, 4, 4))
-        y, _ = nxn_conv_forward(shift, mix, x)
+        y, _ = affine_then_mix_forward(shift, mix, x)
         w = mix.matrix
         scale = np.exp(shift.log_scale)
         fused = np.einsum("dc,nchw->ndhw",
@@ -525,8 +507,8 @@ class TestNxnConv:
         shift = random_layer("shift", 3, Rng(8))
         mix = random_layer("inv1x1_plu", 3, Rng(9))
         x = Rng(10).normal((2, 3, 4, 4))
-        y, _ = nxn_conv_forward(shift, mix, x)
-        assert np.max(np.abs(nxn_conv_inverse(shift, mix, y) - x)) <= 1e-9
+        y, _ = affine_then_mix_forward(shift, mix, x)
+        assert np.max(np.abs(affine_then_mix_inverse(shift, mix, y) - x)) <= 1e-9
 
 
 class TestAllLayersRoundtrip:

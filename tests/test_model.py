@@ -8,21 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from nxnflow.errors import ConfigError, FormatError, NumericError, ShapeError
-from nxnflow.layers import squeeze2x2
-from nxnflow.model import (ModelConfig, MultiScaleModel, bits_per_dim, build_model,
-                           flat_views, standard_normal_logp)
+from nxnflow.errors import ConfigError, FormatError, NumericError, ShapeError, StateError
+from nxnflow.layers import split_channels, squeeze2x2
+from nxnflow.model import ModelConfig, bits_per_dim, build_model, flat_views, standard_normal_logp
 from nxnflow.suites import random_small_model
 from nxnflow.tensor import Rng
 from nxnflow.training import TrainConfig, train
-
-
-def identity_init_model(cfg, seed=0):
-    model = MultiScaleModel(cfg, Rng(seed).child("model_init"))
-    for steps in model.steps:
-        for step in steps:
-            step.actnorm.initialized = True
-    return model
 
 
 class TestConfig:
@@ -50,7 +41,7 @@ class TestForwardInverse:
     def test_empty_flow_is_squeeze(self):
         cfg = ModelConfig(mode="image", channels=1, height=4, width=4,
                           depth_k=0, levels=1, bits=5)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         x = Rng(0).normal((2, 1, 4, 4))
         out = model.forward(x)
         np.testing.assert_array_equal(out.logdet, 0.0)
@@ -59,10 +50,11 @@ class TestForwardInverse:
     def test_identity_init_logdet_from_mix_only(self):
         cfg = ModelConfig(mode="image", channels=2, height=4, width=4,
                           depth_k=2, levels=1, bits=5)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         x = Rng(1).normal((2, 2, 4, 4))
         out = model.forward(x)
-        expected = sum(step.mix.log_u_diag.sum() * 4 for step in model.steps[0])
+        expected = sum(a.sum() * 4 for k, a in model.param_tree().items()
+                       if k.endswith("/mix/log_u_diag"))
         np.testing.assert_allclose(out.logdet, expected, atol=1e-10)
 
     def test_roundtrip(self):
@@ -73,7 +65,7 @@ class TestForwardInverse:
 
     def test_zero_latent_decodes_to_zero_at_identity_init(self):
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=3, levels=1, hidden_width=4)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         z = [np.zeros((2, 2))]
         x = model.inverse(z)
         np.testing.assert_allclose(x, 0.0, atol=1e-12)
@@ -104,13 +96,12 @@ class TestForwardInverse:
 class TestStateTree:
     def test_set_state_copies_and_initializes(self):
         src, dst = random_small_model(Rng(20)), random_small_model(Rng(21))
-        for step in dst.steps[0]:
-            step.actnorm.initialized = False
+        assert not dst.initialized
         dst.set_state({k: v.copy() for k, v in src.state_tree().items()})
         assert dst.state_tree().keys() == src.state_tree().keys()
         for k, v in src.state_tree().items():
             np.testing.assert_array_equal(dst.state_tree()[k], v, err_msg=k)
-        assert all(step.actnorm.initialized for steps in dst.steps for step in steps)
+        assert dst.initialized
 
     def test_set_state_refuses_before_copying(self):
         src, dst = random_small_model(Rng(20)), random_small_model(Rng(21))
@@ -125,15 +116,30 @@ class TestStateTree:
         for k, v in before.items():
             np.testing.assert_array_equal(dst.state_tree()[k], v, err_msg=k)
 
+    @pytest.mark.parametrize("first", ["init_actnorms", "set_state"])
+    def test_actnorm_init_runs_once(self, first):
+        # a second init (or one after a load) would overwrite trained or loaded values
+        model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                        hidden_width=4), 0)
+        if first == "init_actnorms":
+            model.init_actnorms(Rng(1).normal((64, 2)))
+        else:
+            model.set_state({k: v.copy() for k, v in model.state_tree().items()})
+        before = model.theta.copy()
+        with pytest.raises(StateError, match="already initialized"):
+            model.init_actnorms(Rng(2).normal((64, 2)))
+        np.testing.assert_array_equal(model.theta, before)
+
     def test_param_tree_stays_live_across_actnorm_init(self):
         model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
                                         hidden_width=4), 0)
         tree = model.param_tree()
         model.init_actnorms(Rng(1).normal((64, 2)))
-        for k, step in enumerate(model.steps[0]):
-            for pname, arr in step.actnorm.params().items():
+        for k in range(2):
+            name = f"level0/step{k}/actnorm"
+            for pname, arr in dict(model.flow)[name].params().items():
                 assert np.any(arr != 0.0)
-                np.testing.assert_array_equal(tree[f"level0/step{k}/actnorm/{pname}"], arr)
+                np.testing.assert_array_equal(tree[f"{name}/{pname}"], arr)
 
     def test_every_parameter_is_a_view_of_theta(self):
         # actnorm init, set_state and training write into the parameters in
@@ -195,7 +201,7 @@ class TestRank2PublicShapes:
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_shapes(self, n):
         cfg = ModelConfig(mode="rank2", dim=4, depth_k=2, levels=2, hidden_width=4)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         x = Rng(1).normal((n, 4))
         out = model.forward(x)
         assert [z.shape for z in out.z_parts] == [(n, 2), (n, 2)]
@@ -212,7 +218,7 @@ class TestRank2PublicShapes:
 
     def test_flow_latent_shape_rejected(self):
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=1, levels=1, hidden_width=4)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         with pytest.raises(ShapeError):
             model.inverse([np.zeros((1, 2, 1, 1))])
         with pytest.raises(ShapeError):
@@ -222,7 +228,7 @@ class TestRank2PublicShapes:
 class TestLogProb:
     def test_prior_only_value(self):
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=0, levels=1)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         lp = model.log_prob(np.zeros((1, 2)))
         assert lp[0] == pytest.approx(-math.log(2 * math.pi), rel=1e-12)
 
@@ -234,23 +240,20 @@ class TestLogProb:
         h = x
         logdet = np.zeros(2)
         parts = []
-        for lev, steps in enumerate(model.steps):
-            h = squeeze2x2(h)
-            for step in steps:
-                for _, layer in step.sublayers():
-                    h, ld, _ = layer.forward(h)
-                    logdet += ld
-            if lev < model.config.levels - 1:
-                from nxnflow.layers import split_channels
+        for _, layer in model.flow:
+            if layer is None:
                 h, factored = split_channels(h)
                 parts.append(factored)
+                continue
+            h, ld, _ = layer.forward(h)
+            logdet += ld
         parts.append(h)
         manual = logdet + sum(standard_normal_logp(z) for z in parts)
         np.testing.assert_allclose(lp, manual, atol=1e-10)
 
     def test_nonfinite_names_layer(self):
         model = random_small_model(Rng(11))
-        model.steps[0][0].actnorm.log_scale[:] = 1e6  # exp overflows downstream
+        model.param_tree()["level0/step0/actnorm/log_scale"][:] = 1e6  # exp overflows downstream
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match="level0/step0"):
                 model.log_prob(Rng(12).normal((1, 2, 4, 4)))
@@ -259,7 +262,7 @@ class TestLogProb:
 class TestSampling:
     def test_nonfinite_inverse_names_layer(self):
         model = random_small_model(Rng(16))
-        model.steps[0][0].actnorm.log_scale[:] = -1e6  # 1/exp underflows to a division by 0
+        model.param_tree()["level0/step0/actnorm/log_scale"][:] = -1e6  # 1/exp underflows to a division by 0
         z = [Rng(17).normal((1,) + s) for s in model.config.z_shapes()]
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="non-finite activation at level0/step0/actnorm"):
@@ -280,7 +283,7 @@ class TestSampling:
 
     def test_empty_flow_sample_mean(self):
         cfg = ModelConfig(mode="rank2", dim=2, depth_k=0, levels=1)
-        model = identity_init_model(cfg)
+        model = build_model(cfg, 0)
         n = 10_000
         x = model.sample(n, 1.0, Rng(2).child("s"))
         assert np.max(np.abs(x.mean(axis=0))) <= 4.0 / math.sqrt(n)

@@ -192,7 +192,8 @@ class TestTrainLoop:
     def test_actnorm_init_happens(self):
         model, pts, tc = self.make_2d(steps=1)
         train(model, pts, tc)
-        assert all(step.actnorm.initialized for step in model.steps[0])
+        assert model.initialized
+        assert all(np.any(a != 0.0) for k, a in model.param_tree().items() if "/actnorm/" in k)
 
     def test_loss_trend_decreasing(self):
         model, pts, tc = self.make_2d(steps=400, seed=1)
@@ -204,8 +205,9 @@ class TestTrainLoop:
     def test_log_alpha_stays_finite(self):
         model, pts, tc = self.make_2d(steps=50, seed=2)
         train(model, pts, tc)
-        for step in model.steps[0]:
-            assert np.all(np.isfinite(step.actnorm.log_scale))
+        for k, a in model.param_tree().items():
+            if k.endswith("/actnorm/log_scale"):
+                assert np.all(np.isfinite(a)), k
 
     def test_metrics_csv_shape(self):
         model, pts, tc = self.make_2d(steps=2)
@@ -215,20 +217,35 @@ class TestTrainLoop:
         assert len(row) == 5
         assert int(row[0]) == 1
 
-    def test_failure_names_step_and_layer(self):
-        model, pts, tc = self.make_2d(steps=2)
+    @staticmethod
+    def set_log_scale_after_init(model, value):
+        """Set the first actnorm's log_scale right after train's actnorm init,
+        which would overwrite a value set before it."""
         init = model.init_actnorms
 
-        def init_then_overflow(batch):
+        def init_then_set(batch):
             init(batch)
-            model.steps[0][0].actnorm.log_scale[:] = 1e3  # exp overflows to inf
+            model.param_tree()["level0/step0/actnorm/log_scale"][:] = value
 
-        model.init_actnorms = init_then_overflow
+        model.init_actnorms = init_then_set
+
+    def test_failure_names_step_and_layer(self):
+        model, pts, tc = self.make_2d(steps=2)
+        self.set_log_scale_after_init(model, 1e3)  # exp overflows to inf
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as e:
                 train(model, pts, tc)
         msg = str(e.value)
         assert msg.startswith("step 1: ") and "level0/step0/actnorm" in msg and "\n" not in msg
+
+    def test_nonfinite_loss_aborts(self):
+        # the latents stay finite, but the prior's z * z overflows
+        model, pts, tc = self.make_2d(steps=2)
+        self.set_log_scale_after_init(model, 354.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError) as e:
+                train(model, pts, tc)
+        assert str(e.value) == "step 1: non-finite loss; aborting"
 
     def test_empty_dataset_rejected(self):
         model, _, tc = self.make_2d()
@@ -304,7 +321,7 @@ class TestActNormInitQuality:
         # the first actnorm of the first level sees squeeze(batch)
         from nxnflow.layers import squeeze2x2
         h = squeeze2x2(batch)
-        y, _, _ = model.steps[0][0].actnorm.forward(h)
+        y, _, _ = dict(model.flow)["level0/step0/actnorm"].forward(h)
         mu = y.mean(axis=(0, 2, 3))
         sigma = y.std(axis=(0, 2, 3))
         assert np.max(np.abs(mu)) <= 1e-9

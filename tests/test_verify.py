@@ -37,6 +37,11 @@ class TestCentralDifferences:
                                      params, analytic) < 1e-5
         assert model.theta.tobytes() == before.tobytes()
 
+    def test_jacobian_capped_at_64_dims(self):
+        assert numerical_jacobian(lambda v: 2.0 * v, np.zeros(64)).shape == (64, 64)
+        with pytest.raises(ShapeError, match="capped at 64 dims, got 65"):
+            numerical_jacobian(lambda v: 2.0 * v, np.zeros(65))
+
 
 class TestNumericalLogdet:
     def test_shift_cancellation(self):
@@ -156,6 +161,14 @@ class TestQuadrature:
         small = quadrature_normalization(model, bound=1.0, step=0.05)
         full = quadrature_normalization(model, bound=6.0, step=0.05)
         assert small < full
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(mode="rank2", dim=3, depth_k=0, levels=1),
+        ModelConfig(mode="image", channels=2, height=2, width=2, depth_k=0, levels=1),
+    ], ids=["dim3", "image"])
+    def test_needs_rank2_dim2_model(self, cfg):
+        with pytest.raises(ShapeError, match="rank-2 model with dim 2"):
+            quadrature_normalization(MultiScaleModel(cfg, Rng(0)))
 
 
 class TestFaultInjection:
