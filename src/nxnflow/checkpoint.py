@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +55,10 @@ class Checkpoint:
 
 
 def write_atomic(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-nxnf-")
+    """Write via a temp file in the same directory, then rename. The temp
+    file is made with mode 0666 less the umask, as ``open`` makes a file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-nxnf-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(payload)

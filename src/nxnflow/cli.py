@@ -139,14 +139,14 @@ def cmd_train(args) -> int:
 
 def _model_from_checkpoint(path):
     loaded = ckpt_io.load(path)
-    model_cfg = model_config_from_text(loaded.config_text)
-    model = build_model(model_cfg, 0)
+    model = build_model(model_config_from_text(loaded.config_text), 0)
     ckpt_io.restore_model(loaded, model)
-    return model, model_cfg, loaded
+    return model
 
 
 def cmd_eval(args) -> int:
-    model, model_cfg, _ = _model_from_checkpoint(args.checkpoint)
+    model = _model_from_checkpoint(args.checkpoint)
+    model_cfg = model.config
     rank2 = model_cfg.mode == "rank2"
     generators = data_io.GENERATORS_2D if rank2 else ("textures",)
     kind = args.data if args.data in generators else ("csv" if rank2 else "nxni")
@@ -161,7 +161,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model, model_cfg, _ = _model_from_checkpoint(args.checkpoint)
+    model = _model_from_checkpoint(args.checkpoint)
+    model_cfg = model.config
     rng = Rng(args.seed).child("sample")
     x = model.sample(args.n, args.temperature, rng)
     if model_cfg.mode == "rank2":

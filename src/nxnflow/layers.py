@@ -6,14 +6,16 @@ Every layer follows one contract:
     inverse(y)  -> x
     backward(dy, dlogdet, cache) -> (dx, grads)
 
-where ``dlogdet`` is dL/dlogdet per sample and ``grads`` mirrors the keys
-of ``params()``: attribute paths (``net/conv0/w`` is ``layer.net.conv0.w``)
-that the model rebinds to views of one vector. Inputs are rank-4 NCHW
+where ``dlogdet`` is dL/dlogdet per sample and ``grads`` is a list with one
+array per ``params()`` entry, in ``params()`` order. Only ``params()`` names
+parameters: attribute paths (``net/conv0/w`` is ``layer.net.conv0.w``) that
+the model rebinds to views of one vector. Inputs are rank-4 NCHW
 arrays; the model runs rank-2 points as N x D x 1 x 1, so no layer knows a
 second layout. A rank-2 array passed straight to a layer is a ShapeError.
 
-A flow step's invertible layer is the Inv1x1 mix; the paper's n x n layer
-(a spatial shift, then that mix) is checked only by ``conv_reformulation``.
+A flow step's invertible layer is the Inv1x1 mix. The paper's n x n layer
+(a spatial shift, then that mix) is not built or checked yet:
+``conv_reformulation`` checks direct conv against the sum of shifted 1x1s.
 The mix and the conditioner's Conv2d run one kernel pair,
 ``tensor.conv`` and ``tensor.conv_backward``; the mix passes its C x C
 matrix as a C x C x 1 x 1 kernel. A kernel-3 conditioner builds its patch
@@ -62,11 +64,10 @@ class ChannelAffine:
         nchw(batch)
         mu = batch.mean(axis=(0, 2, 3))
         sigma = batch.std(axis=(0, 2, 3))
-        if np.any(sigma < 1e-6):
-            bad = int(np.argmin(sigma))
-            raise DegenerateChannelError(
-                f"channel {bad} has std {sigma[bad]:.3e} < 1e-6"
-            )
+        if not np.all(sigma >= 1e-6):  # false for a NaN std: a NaN entry, or inf - inf
+            bad = int(np.argmin(sigma))  # the first NaN channel, else the smallest std
+            why = "nan: the batch is not finite" if np.isnan(sigma[bad]) else f"{sigma[bad]:.3e} < 1e-6"
+            raise DegenerateChannelError(f"channel {bad} has std {why}")
         self.log_scale[...] = -np.log(sigma)
         self.bias[...] = -mu / sigma
 
@@ -87,7 +88,7 @@ class ChannelAffine:
         g_bias = dy.sum(axis=(0, 2, 3))
         hw = x.shape[2] * x.shape[3]
         g_log_scale = (dy * x).sum(axis=(0, 2, 3)) * scale + hw * dlogdet.sum()
-        return dx, {"log_scale": g_log_scale, "bias": g_bias}
+        return dx, [g_log_scale, g_bias]
 
 
 class Inv1x1:
@@ -155,11 +156,8 @@ class Inv1x1:
         g_lower = self.p.T @ gw @ upper.T
         g_upper = lower.T @ self.p.T @ gw
         g_log_u = np.diag(g_upper) * self.u_sign * np.exp(self.log_u_diag) + ld
-        return dx, {
-            "l_strict": np.where(self._strict_lower, g_lower, 0.0),
-            "u_off": np.where(self._strict_upper, g_upper, 0.0),
-            "log_u_diag": g_log_u,
-        }
+        return dx, [np.where(self._strict_lower, g_lower, 0.0),
+                    np.where(self._strict_upper, g_upper, 0.0), g_log_u]
 
 
 class Conv2d:
@@ -240,14 +238,13 @@ class ConditionerNet:
         return out
 
     def backward(self, dout, caches):
-        grads = {}
+        grads = []
         g = dout
         for i in reversed(range(len(self.layers))):
             if i < len(self.layers) - 1:
                 g = g * (caches[i + 1]["x"] > 0)
             g, gw, gb = self.layers[i].backward(g, caches[i])
-            grads[f"conv{i}/w"] = gw
-            grads[f"conv{i}/b"] = gb
+            grads[:0] = [gw, gb]
         return g, grads
 
 
@@ -300,7 +297,7 @@ class Coupling:
         draw = np.concatenate([draw_s, dy_a], axis=1)
         dx_b_net, net_grads = self.net.backward(draw, cache["net"])
         dx = np.concatenate([dx_a, dy_b + dx_b_net], axis=1)
-        return dx, {f"net/{k}": v for k, v in net_grads.items()}
+        return dx, net_grads
 
 
 class Squeeze:
@@ -317,7 +314,7 @@ class Squeeze:
         return unsqueeze2x2(y)
 
     def backward(self, dy, dlogdet, cache):
-        return unsqueeze2x2(dy), {}
+        return unsqueeze2x2(dy), []
 
 
 def squeeze2x2(x: np.ndarray) -> np.ndarray:

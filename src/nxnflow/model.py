@@ -333,27 +333,23 @@ class MultiScaleModel:
 
     def loss_and_grads(self, x: np.ndarray):
         """(mean NLL in nats over the batch, the gradient of every parameter
-        as one new vector laid out like ``theta``, per-sample NLL)."""
+        as one new vector laid out like ``theta``)."""
         out, tape = self.forward_with_tape(x)
         n = x.shape[0]
-        nll = -(out.logdet + sum(standard_normal_logp(z) for z in out.z_parts))
-        loss = float(nll.mean())
+        loss = float(-(out.logdet + sum(standard_normal_logp(z) for z in out.z_parts)).mean())
         # dL/dlogdet_n = -1/n; dL/dz = z/n for every latent part
         dlogdet = np.full(n, -1.0 / n)
         dz_parts = [z / n for z in out.z_parts]
-        grad = np.empty_like(self.theta)
-        end = grad.size  # the walk meets param_tree() in reverse, so it fills from the end
+        layer_grads = []  # each layer's gradient list, the last layer's first
         g = dz_parts.pop()
         for (_, layer), cache in zip(reversed(self.flow), reversed(tape)):
             if layer is None:
                 g = unsplit_channels(g, dz_parts.pop())
                 continue
-            g, layer_grads = layer.backward(g, dlogdet, cache)
-            for pname in reversed(layer.params()):
-                garr = layer_grads[pname]
-                end -= garr.size
-                grad[end:end + garr.size].reshape(garr.shape)[...] = garr
-        return loss, grad, nll
+            g, grads = layer.backward(g, dlogdet, cache)
+            layer_grads.append(grads)
+        flat = [a.ravel() for grads in reversed(layer_grads) for a in grads]
+        return loss, np.concatenate([np.zeros(0), *flat])
 
     def sample(self, n: int, temperature: float, rng: Rng) -> np.ndarray:
         if n < 0:

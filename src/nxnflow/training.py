@@ -172,7 +172,7 @@ def train(model: MultiScaleModel, data: np.ndarray, cfg: TrainConfig,
     for step in range(start_step + 1, start_step + cfg.steps + 1):
         batch = get_batch()
         try:
-            loss, g, _ = model.loss_and_grads(batch)
+            loss, g = model.loss_and_grads(batch)
             if not math.isfinite(loss):
                 raise NumericError("non-finite loss; aborting")
             if not np.isfinite(g).all():

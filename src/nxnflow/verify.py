@@ -130,9 +130,10 @@ def shifted_sum_convolution(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def conv_reformulation_check(kernel: np.ndarray, x: np.ndarray, shared_shift=None) -> float:
-    """Max deviation over (a) direct conv vs shifted-sum form, and (b) with a
-    shared shifted input, tap-by-tap application vs the fused single 1x1 conv
-    with the summed kernel (numpy's sum over the stacked raster-order taps)."""
+    """Max deviation over (a) direct conv vs the sum of shifted 1x1 convs, and
+    (b) the taps applied one by one to ``shared_shift(x)`` vs one 1x1 conv with
+    their sum (numpy's sum over the stacked raster-order taps), which checks
+    linearity only, not that a spatial shift then a 1x1 is an n x n conv."""
     direct = direct_convolution(kernel, x)
     shifted = shifted_sum_convolution(kernel, x)
     dev = float(np.max(np.abs(direct - shifted))) if direct.size else 0.0
@@ -195,11 +196,12 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def check_param_gradients(loss_fn, params: dict, analytic: dict) -> float:
-    """Max relative error of analytic parameter gradients vs central
-    differences of loss_fn(), which must read the live `params` arrays."""
-    return max((relative_error(analytic[name].ravel(), central_differences(loss_fn, arr.ravel()))
-                for name, arr in params.items()), default=0.0)
+def check_param_gradients(loss_fn, params: dict, analytic: list) -> float:
+    """Max relative error of analytic parameter gradients, one per `params`
+    entry in its order, vs central differences of loss_fn(), which must read
+    the live `params` arrays."""
+    return max((relative_error(g.ravel(), central_differences(loss_fn, arr.ravel()))
+                for arr, g in zip(params.values(), analytic, strict=True)), default=0.0)
 
 
 def check_input_gradient(loss_of_x, x: np.ndarray, analytic: np.ndarray) -> float:

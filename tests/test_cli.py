@@ -773,7 +773,7 @@ class TestImageFileData:
         capsys.readouterr()
         ck = str(out / "checkpoint.nxnf")
         assert main(["eval", "--checkpoint", ck, "--data", data, "--seed", "2"]) == 0
-        model, _, _ = _model_from_checkpoint(ck)
+        model = _model_from_checkpoint(ck)
         nll = evaluate_nll(model, load_images(data).images, 5, 2)
         assert capsys.readouterr().out.startswith(f"nll_nats={nll:.6f} ")
 
@@ -873,6 +873,33 @@ class TestSampleCommand:
                      "--out", str(dst)]) == 0
         assert load_images(dst).images.shape == (3, 2, 4, 4)
         assert (tmp_path / "samples.nxni.ppm").read_bytes().startswith(b"P6\n12 4\n255\n")
+
+
+class TestOutputFileModes:
+    def test_outputs_get_the_mode_the_umask_gives(self, tmp_path, capsys):
+        # as open() makes a file: 0666 less the umask, not a temp file's 0600
+        outputs = ["rank2/checkpoint.nxnf", "rank2/metrics.csv", "rank2_samples.csv",
+                   "image/checkpoint.nxnf", "image/metrics.csv", "image_samples.nxni",
+                   "image_samples.nxni.ppm", "eval.csv", "report.csv"]
+        old = os.umask(0o022)
+        try:
+            for mode, text, ext in (("rank2", RANK2_CFG, "csv"), ("image", IMAGE_CFG, "nxni")):
+                cfg = write_cfg(tmp_path, text, f"{mode}.cfg")
+                assert main(["train", "--config", cfg, "--set", "train.steps=1",
+                             "--out", str(tmp_path / mode)]) == 0
+                assert main(["sample", "--checkpoint", str(tmp_path / mode / "checkpoint.nxnf"),
+                             "--n", "2", "--out", str(tmp_path / f"{mode}_samples.{ext}")]) == 0
+            assert main(["eval", "--checkpoint", str(tmp_path / "rank2" / "checkpoint.nxnf"),
+                         "--data", "eight_gaussians", "--n", "64",
+                         "--out", str(tmp_path / "eval.csv")]) == 0
+            assert main(["verify", "--suite", "conv_equiv", "--out", str(tmp_path / "report.csv")]) == 0
+        finally:
+            os.umask(old)
+        made = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file() and p.suffix != ".cfg")
+        assert made == sorted(outputs)
+        assert {f: oct((tmp_path / f).stat().st_mode & 0o777) for f in made} == dict.fromkeys(
+            made, "0o644")
 
 
 class TestModuleEntryPoint:

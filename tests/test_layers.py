@@ -43,6 +43,51 @@ def affine_then_mix_inverse(shift, mix, y):
     return shift.inverse(mix.inverse(y))
 
 
+def affine(scale, bias):
+    """A ChannelAffine layer with the given per-channel scale and bias."""
+    layer = ChannelAffine(len(scale))
+    layer.log_scale = np.log(np.asarray(scale, dtype=np.float64))
+    layer.bias = np.asarray(bias, dtype=np.float64)
+    return layer
+
+
+class TestChannelAffine:
+    # the per-channel affine map y = scale * x + bias, forward and inverse
+    def test_identity(self):
+        x = Rng(0).normal((2, 3, 4, 4))
+        out, _, _ = ChannelAffine(3).forward(x)
+        np.testing.assert_array_equal(out, x)
+
+    def test_hand_value(self):
+        x = np.full((1, 2, 2, 2), 2.0)
+        out, _, _ = affine([4.0, 1.0], [1.0, 0.0]).forward(x)
+        assert np.all(out[:, 0] == 9.0)
+        assert np.all(out[:, 1] == 2.0)
+
+    def test_rank2(self):
+        # rank-2 points run as N x D x 1 x 1
+        x = np.array([[1.0, 2.0]])[:, :, None, None]
+        out, _, _ = affine([2.0, 3.0], [0.5, -1.0]).forward(x)
+        np.testing.assert_allclose(out[:, :, 0, 0], [[2.5, 5.0]])
+
+    def test_rank2_array_rejected(self):
+        layer = affine([1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros((1, 2)))
+        with pytest.raises(ShapeError):
+            layer.inverse(np.zeros((1, 2)))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_inverse_property(self, seed):
+        rng = Rng(seed)
+        x = rng.normal((2, 3, 2, 2))
+        layer = affine(np.exp(rng.normal((3,))), rng.normal((3,)))
+        y, _, _ = layer.forward(x)
+        back = layer.inverse(y)
+        assert np.max(np.abs(back - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+
 class TestActNorm:
     def test_identity_at_unit_params(self):
         layer = ChannelAffine(3)
@@ -304,7 +349,7 @@ class TestConv2d:
 
         _, cache = conv.forward(x)
         dx, gw, gb = conv.backward(dy, cache)
-        analytic = {"w": gw, "b": gb}
+        analytic = [gw, gb]
         params = {"w": conv.w, "b": conv.b}
         assert check_param_gradients(lambda: loss_at(x), params, analytic) < 1e-5
         assert check_input_gradient(loss_at, x, dx) < 1e-5
@@ -330,7 +375,7 @@ class TestConv2d:
         inner = float(((y - conv.b[None, :, None, None]) * dy).sum())
         assert float((x * dx).sum()) == pytest.approx(inner, rel=1e-12)
         assert float((conv.w * gw).sum()) == pytest.approx(inner, rel=1e-12)
-        analytic = {"w": gw, "b": gb}
+        analytic = [gw, gb]
         assert check_param_gradients(lambda: loss_at(x), {"w": conv.w, "b": conv.b}, analytic) < 1e-5
         assert check_input_gradient(loss_at, x, dx) < 1e-5
 
@@ -350,11 +395,12 @@ def masked_conditioner(net, x, dout):
             h = h * masks[-1]
         h, cache = layer.forward(h)
         caches.append(cache)
-    g, grads = dout, {}
+    g, grads = dout, []
     for i in reversed(range(len(net.layers))):
         if i < len(masks):
             g = g * masks[i]
-        g, grads[f"conv{i}/w"], grads[f"conv{i}/b"] = net.layers[i].backward(g, caches[i])
+        g, gw, gb = net.layers[i].backward(g, caches[i])
+        grads[:0] = [gw, gb]
     return h, g, grads
 
 
@@ -374,8 +420,8 @@ class TestConditionerNet:
         dx, grads = net.backward(dout, caches)
         ref_y, ref_dx, ref_grads = masked_conditioner(net, x, dout)
         assert np.array_equal(y, ref_y) and np.array_equal(dx, ref_dx)
-        assert grads.keys() == ref_grads.keys()
-        assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+        assert len(grads) == len(ref_grads)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads, strict=True))
 
     # hidden 32 makes blocks of 512 pixel rows (128 samples on a 2x2 grid);
     # 1000 rows end in a ragged block of 488
@@ -470,7 +516,7 @@ class TestSqueezeSplit:
             split_channels(np.zeros((1, 3, 2, 2)))
 
 
-class TestNxnConv:
+class TestAffineThenMix:
     # a per-channel affine then the 1x1 mix, not the paper's n x n layer
     def test_identity_composition(self):
         shift = ChannelAffine(3)
@@ -521,3 +567,28 @@ class TestAllLayersRoundtrip:
         _, ld_rec, _ = layer.forward(x_rec)
         # logdet of the inverse map is the negated forward logdet at x_rec
         np.testing.assert_allclose(ld_fwd, ld_rec, atol=1e-10)
+
+
+class TestGradientLists:
+    # backward returns one gradient per params() entry, in params() order:
+    # the model lays them into theta by position alone
+    @pytest.mark.parametrize("kind, kernel", [(kind, 3) for kind in LAYER_KINDS + ("squeeze",)]
+                             + [("coupling", 1)])
+    def test_one_gradient_per_parameter_in_order(self, kind, kernel):
+        layer = random_layer(kind, 4, Rng(30), hidden=4, kernel=kernel)
+        x = Rng(31).normal((2, 4, 4, 4))
+        y, ld, cache = layer.forward(x)
+        w_y, w_ld = Rng(32).normal(y.shape), Rng(33).normal(ld.shape)
+        _, grads = layer.backward(w_y, w_ld, cache)
+        assert isinstance(grads, list)
+        assert [g.shape for g in grads] == [p.shape for p in layer.params().values()]
+
+        def loss():
+            y, ld, _ = layer.forward(x)
+            return float((w_y * y).sum() + (w_ld * ld).sum())
+
+        assert check_param_gradients(loss, layer.params(), grads) < 1e-5
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown layer kind 'nope'"):
+            random_layer("nope", 4, Rng(0))

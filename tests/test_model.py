@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nxnflow.errors import ConfigError, FormatError, NumericError, ShapeError, StateError
+from nxnflow.errors import (ConfigError, DegenerateChannelError, FormatError, NumericError,
+                            ShapeError, StateError)
 from nxnflow.layers import split_channels, squeeze2x2
 from nxnflow.model import ModelConfig, bits_per_dim, build_model, flat_views, standard_normal_logp
 from nxnflow.suites import random_small_model
@@ -130,6 +131,23 @@ class TestStateTree:
             model.init_actnorms(Rng(2).normal((64, 2)))
         np.testing.assert_array_equal(model.theta, before)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_actnorm_init_refuses_a_nonfinite_batch(self, bad):
+        # a NaN std passed the old `sigma < 1e-6` check and set a NaN log_scale
+        model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                        hidden_width=4), 0)
+        batch = Rng(1).normal((8, 2))
+        batch[3, 1] = bad
+        before = model.theta.copy()
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DegenerateChannelError,
+                match="^level0/step0/actnorm: channel 1 has std nan: the batch is not finite$"):
+            model.init_actnorms(batch)
+        np.testing.assert_array_equal(model.theta, before)
+        assert not model.initialized
+        model.init_actnorms(Rng(1).normal((8, 2)))
+        assert model.initialized and np.isfinite(model.theta).all()
+
     def test_param_tree_stays_live_across_actnorm_init(self):
         model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
                                         hidden_width=4), 0)
@@ -185,6 +203,23 @@ class TestStructure:
                 assert tuple(name for name, _ in step.sublayers()) == (
                     "actnorm", "mix", "coupling")
         assert len(model.param_tree()) == arrays
+
+    def test_loss_and_grads_names_no_parameter(self):
+        # the gradient is laid out from backward's lists, without params()
+        model = random_small_model(Rng(40))
+        x = Rng(41).normal((2, 2, 4, 4))
+        want_loss, want = model.loss_and_grads(x)
+
+        def refuse():
+            raise AssertionError("params() called")
+
+        for _, layer in model.flow:
+            for obj in (layer, getattr(layer, "net", None)):
+                if obj is not None:
+                    obj.params = refuse
+        loss, grad = model.loss_and_grads(x)
+        assert loss == want_loss and grad.shape == model.theta.shape
+        np.testing.assert_array_equal(grad, want)
 
     def test_set_state_refuses_shift_array(self):
         model = random_small_model(Rng(22))

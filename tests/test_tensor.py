@@ -7,18 +7,9 @@ from hypothesis import strategies as st
 
 from nxnflow import tensor
 from nxnflow.errors import ShapeError
-from nxnflow.layers import ChannelAffine
 from nxnflow.tensor import (ONE_THREAD_MNK, Rng, _patches, _row_product, _taps, conv, conv_backward,
                             lu_factor)
 from nxnflow.verify import direct_convolution
-
-
-def affine(scale, bias):
-    """A ChannelAffine layer with the given per-channel scale and bias."""
-    layer = ChannelAffine(len(scale))
-    layer.log_scale = np.log(np.asarray(scale, dtype=np.float64))
-    layer.bias = np.asarray(bias, dtype=np.float64)
-    return layer
 
 
 def mix(w):
@@ -26,44 +17,7 @@ def mix(w):
     return np.asarray(w, dtype=np.float64)[:, :, None, None]
 
 
-class TestChannelAffine:
-    # the per-channel affine broadcast, written inline in layers.ChannelAffine
-    def test_identity(self):
-        x = Rng(0).normal((2, 3, 4, 4))
-        out, _, _ = ChannelAffine(3).forward(x)
-        np.testing.assert_array_equal(out, x)
-
-    def test_hand_value(self):
-        x = np.full((1, 2, 2, 2), 2.0)
-        out, _, _ = affine([4.0, 1.0], [1.0, 0.0]).forward(x)
-        assert np.all(out[:, 0] == 9.0)
-        assert np.all(out[:, 1] == 2.0)
-
-    def test_rank2(self):
-        # rank-2 points run as N x D x 1 x 1
-        x = np.array([[1.0, 2.0]])[:, :, None, None]
-        out, _, _ = affine([2.0, 3.0], [0.5, -1.0]).forward(x)
-        np.testing.assert_allclose(out[:, :, 0, 0], [[2.5, 5.0]])
-
-    def test_rank2_array_rejected(self):
-        layer = affine([1.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 2)))
-        with pytest.raises(ShapeError):
-            layer.inverse(np.zeros((1, 2)))
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_inverse_property(self, seed):
-        rng = Rng(seed)
-        x = rng.normal((2, 3, 2, 2))
-        layer = affine(np.exp(rng.normal((3,))), rng.normal((3,)))
-        y, _, _ = layer.forward(x)
-        back = layer.inverse(y)
-        assert np.max(np.abs(back - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
-
-
-class TestChannelMatmul:
+class TestPointwiseConv:
     # conv at k = 1: the channel matrix applied at every pixel
     def test_identity(self):
         x = Rng(0).normal((2, 3, 4, 4))
@@ -159,7 +113,7 @@ class TestRowProduct:
             assert np.array_equal(out, ref)
 
 
-class TestChannelOuter:
+class TestPointwiseConvBackward:
     # the kernel gradient of conv at k = 1: dy and x summed over batch and pixels
     def test_matches_einsum(self):
         rng = Rng(4)
@@ -169,7 +123,7 @@ class TestChannelOuter:
         _, gw = conv_backward(dy, x, mix(np.zeros((4, 2))))
         np.testing.assert_allclose(gw[:, :, 0, 0], ref, rtol=0, atol=1e-12)
 
-    def test_is_the_weight_gradient_of_channel_matmul(self):
+    def test_is_the_weight_gradient_of_conv(self):
         # <conv(x, w), dy> is linear in w with gradient conv_backward's dkernel
         rng = Rng(5)
         w = rng.normal((4, 2))
