@@ -5,17 +5,23 @@ Usage: python3 scripts/fingerprint.py [--seed 0] [--steps N]
 
 One line per config (rank2 eight_gaussians and image textures, as in the
 benchmark): the sha256 of theta after training a fresh model from the seed,
-of log_prob over 256 held-out rows and of one sample batch. Two checkouts
-compute bit-identical models exactly when their lines are equal. Steps
+of log_prob over 256 held-out rows, of one sample batch and of the NXNF file
+that checkpoint.save writes after the last step (state tree, Adam state and
+stream states, as `nxnflow train` writes it). Two checkouts compute
+bit-identical models and files exactly when their lines are equal. Steps
 default to 300 (rank2) and 30 (image); --steps sets both.
 """
 
 import argparse
 import hashlib
+import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
+from nxnflow import checkpoint
 from nxnflow.data import gen_2d, gen_textures
 from nxnflow.model import ModelConfig, build_model
 from nxnflow.tensor import Rng
@@ -47,11 +53,23 @@ def fingerprint(name: str, seed: int, steps: int | None) -> str:
         train_x, held_x = (gen_2d("eight_gaussians", n, rng.child(label)).points
                            for n, label in ((8192, "data"), (256, "heldout")))
     model = build_model(cfg, seed)
-    train(model, train_x, TrainConfig(steps=steps, seed=seed, bits=cfg.bits))
+    nxnf = []
+
+    def on_checkpoint(step, opt, rng_states):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "checkpoint.nxnf")
+            checkpoint.save(checkpoint.Checkpoint(
+                cfg.to_text(), step, model.state_tree(), opt.t, opt.m, opt.v,
+                json.dumps(rng_states, sort_keys=True)), path)
+            with open(path, "rb") as f:
+                nxnf.append(hashlib.sha256(f.read()).hexdigest())
+
+    train(model, train_x, TrainConfig(steps=steps, seed=seed, bits=cfg.bits,
+                                      checkpoint_every=steps), on_checkpoint=on_checkpoint)
     log_prob = model.log_prob(np.asarray(held_x, dtype=np.float64))
     samples = model.sample(n_sample, temperature, rng.child("sample"))
     return (f"{name} seed={seed} steps={steps} theta={sha(model.theta)} "
-            f"log_prob={sha(log_prob)} sample={sha(samples)}")
+            f"log_prob={sha(log_prob)} sample={sha(samples)} nxnf={nxnf[-1]}")
 
 
 def main() -> int:

@@ -21,10 +21,14 @@ Round trips are bit-exact; loading refuses an echo of another config. The
 state tree (``restore_model``) and, on resume, the moments go through
 ``model.load_tree``: a missing, unknown, wrongly shaped or non-finite
 array is a FormatError naming it.
+Both directions stream: ``save`` writes the header fields and each array's
+own buffer into ``write_atomic``'s temp file, and ``load`` reads each payload
+straight into its new array once its extent is checked against the file.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -54,14 +58,15 @@ class Checkpoint:
     rng_state: str        # JSON blob
 
 
-def write_atomic(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename. The temp
-    file is made with mode 0666 less the umask, as ``open`` makes a file."""
+def write_atomic(path, chunks) -> None:
+    """Write an iterable of bytes-like chunks to a temp file in the same
+    directory, then rename it over ``path``, so a failed write leaves no temp
+    file and the old file as it was. The temp file's mode is 0666 less the umask."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-nxnf-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(payload)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -69,45 +74,44 @@ def write_atomic(path, payload: bytes) -> None:
         raise
 
 
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    nb = name.encode()
-    parts = [struct.pack("<H", len(nb)), nb, struct.pack("<B", arr.ndim)]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def serialize(ckpt: Checkpoint) -> bytes:
+def _chunks(ckpt: Checkpoint):
+    """The NXNF bytes of ``ckpt``: header fields, and each array's own buffer."""
     arrays = dict(ckpt.params)
     for what, moments in (("m", ckpt.adam_m), ("v", ckpt.adam_v)):
         arrays.update({f"adam/{what}/{k}": v for k, v in moments.items()})
     cfg = ckpt.config_text.encode()
-    parts = [NXNF_MAGIC, struct.pack("<I", NXNF_VERSION),
-             struct.pack("<I", len(cfg)), cfg,
-             struct.pack("<Q", ckpt.step),
-             struct.pack("<I", len(arrays))]
-    parts += [_pack_array(name, arrays[name]) for name in sorted(arrays)]
-    parts.append(struct.pack("<BQ", 1, ckpt.adam_t))
+    yield NXNF_MAGIC + struct.pack("<II", NXNF_VERSION, len(cfg)) + cfg
+    yield struct.pack("<QI", ckpt.step, len(arrays))
+    for name in sorted(arrays):
+        arr, nb = np.ascontiguousarray(arrays[name], dtype="<f8"), name.encode()
+        yield struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape)
+        yield arr
     rng = ckpt.rng_state.encode()
-    parts.append(struct.pack("<I", len(rng)))
-    parts.append(rng)
-    return b"".join(parts)
+    yield struct.pack("<BQI", 1, ckpt.adam_t, len(rng)) + rng
+
+
+def serialize(ckpt: Checkpoint) -> bytes:
+    return b"".join(_chunks(ckpt))
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
+    def __init__(self, f):
+        self.f = f
+        self.size = f.seek(0, os.SEEK_END)
+        self.pos = f.seek(0)
 
     def skip(self, n: int) -> int:
-        """Move past the next n bytes; returns the offset they start at."""
-        if self.pos + n > len(self.raw):
+        """Claim the next n bytes, which must remain; returns their offset."""
+        if self.pos + n > self.size:
             raise FormatError(f"truncated checkpoint, wanted {n} bytes", offset=self.pos)
         self.pos += n
         return self.pos - n
 
     def take(self, n: int) -> bytes:
-        return self.raw[self.skip(n):self.pos]
+        at, raw = self.skip(n), self.f.read(n)
+        if len(raw) != n:
+            raise FormatError("checkpoint file shrank while it was read", offset=at)
+        return raw
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -120,8 +124,8 @@ class _Reader:
             raise FormatError(f"{what} is not UTF-8", offset=start + e.start)
 
 
-def deserialize(raw: bytes) -> Checkpoint:
-    r = _Reader(raw)
+def _read(f) -> Checkpoint:
+    r = _Reader(f)
     if r.take(4) != NXNF_MAGIC:
         raise FormatError("bad NXNF magic", offset=0)
     (version,) = r.unpack("<I")
@@ -150,8 +154,10 @@ def deserialize(raw: bytes) -> Checkpoint:
         # intp holds, even when another extent is 0
         if 8 * math.prod(e for e in shape if e) > MAX_BYTES:
             raise FormatError(f"array shape {shape} is too large", offset=rank_at)
-        size = math.prod(shape)
-        tree[key] = np.frombuffer(raw, "<f8", size, r.skip(8 * size)).reshape(shape).copy()
+        at = r.skip(8 * math.prod(shape))  # the extent is checked before the array is made
+        tree[key] = np.empty(shape, "<f8")
+        if f.readinto(tree[key]) != tree[key].nbytes:
+            raise FormatError("checkpoint file shrank while it was read", offset=at)
     flag_at = r.pos
     (flag,) = r.unpack("<B")
     if flag != 1:
@@ -159,18 +165,22 @@ def deserialize(raw: bytes) -> Checkpoint:
     (adam_t,) = r.unpack("<Q")
     (rng_len,) = r.unpack("<I")
     rng_state = r.text(rng_len, "rng state")
-    if r.pos != len(raw):
+    if r.pos != r.size:
         raise FormatError("trailing bytes after checkpoint", offset=r.pos)
     return Checkpoint(config_text, step, params, adam_t, adam_m, adam_v, rng_state)
 
 
+def deserialize(raw: bytes) -> Checkpoint:
+    return _read(io.BytesIO(raw))
+
+
 def save(ckpt: Checkpoint, path) -> None:
-    write_atomic(path, serialize(ckpt))
+    write_atomic(path, _chunks(ckpt))
 
 
 def load(path) -> Checkpoint:
     with open(path, "rb") as f:
-        return deserialize(f.read())
+        return _read(f)
 
 
 def snapshot_params(model) -> dict:

@@ -102,16 +102,11 @@ def cmd_train(args) -> int:
         ckpt_io.restore_model(resume, model)
 
     def on_checkpoint(step, opt, rng_states):
-        snapshot = ckpt_io.Checkpoint(
-            config_text=model_cfg.to_text(),
-            step=step,
-            params=ckpt_io.snapshot_params(model),
-            adam_t=opt.t,
-            adam_m={k: v.copy() for k, v in opt.m.items()},
-            adam_v={k: v.copy() for k, v in opt.v.items()},
-            rng_state=json.dumps(rng_states, sort_keys=True),
-        )
-        ckpt_io.save(snapshot, ckpt_path)
+        # the live arrays, not copies: the save is synchronous, and nothing
+        # changes them while it runs
+        ckpt_io.save(ckpt_io.Checkpoint(model_cfg.to_text(), step, model.state_tree(), opt.t,
+                                        opt.m, opt.v, json.dumps(rng_states, sort_keys=True)),
+                     ckpt_path)
 
     kept = _metrics_rows(metrics_path, None if resume is None else resume.step)
     f = None
@@ -123,7 +118,7 @@ def cmd_train(args) -> int:
         nonlocal f
         if f is None:
             os.makedirs(args.out, exist_ok=True)
-            ckpt_io.write_atomic(metrics_path, "".join(r + "\n" for r in kept).encode())
+            ckpt_io.write_atomic(metrics_path, ["".join(r + "\n" for r in kept).encode()])
             f = open(metrics_path, "a", encoding="utf-8")
         f.write(row.csv() + "\n")
         f.flush()
@@ -156,7 +151,7 @@ def cmd_eval(args) -> int:
     bpd = bits_per_dim(nll, model_cfg.input_dims(), bits)
     print(f"nll_nats={nll:.6f} bpd={bpd:.6f}")
     if args.out:
-        ckpt_io.write_atomic(args.out, f"nll_nats,bpd\n{nll:.6f},{bpd:.6f}\n".encode())
+        ckpt_io.write_atomic(args.out, [f"nll_nats,bpd\n{nll:.6f},{bpd:.6f}\n".encode()])
     return 0
 
 
@@ -184,7 +179,7 @@ def cmd_verify(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        ckpt_io.write_atomic(args.out, report.encode())
+        ckpt_io.write_atomic(args.out, [report.encode()])
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -85,7 +85,7 @@ def gen_2d(kind: str, n: int, rng: Rng) -> Dataset2D:
 def save_images(ds: ImageDataset, path) -> None:
     count, c, h, w = ds.images.shape
     header = _HEADER.pack(NXNI_MAGIC, NXNI_VERSION, count, c, h, w, ds.bits)
-    write_atomic(path, header + np.ascontiguousarray(ds.images, dtype=np.uint8).tobytes())
+    write_atomic(path, [header + np.ascontiguousarray(ds.images, dtype=np.uint8).tobytes()])
 
 
 def load_images(path) -> ImageDataset:
@@ -131,7 +131,7 @@ def save_ppm_montage(images: np.ndarray, bits: int, path) -> None:
         rgb = img[:3].astype(np.uint8)
         canvas[:len(rgb), r * h:(r + 1) * h, col * w:(col + 1) * w] = rgb
     header = f"P6\n{canvas.shape[2]} {canvas.shape[1]}\n255\n".encode()
-    write_atomic(path, header + canvas.transpose(1, 2, 0).tobytes())
+    write_atomic(path, [header + canvas.transpose(1, 2, 0).tobytes()])
 
 
 def gen_textures(n: int, channels: int, size: int, bits: int, rng: Rng) -> ImageDataset:
@@ -159,7 +159,7 @@ def gen_textures(n: int, channels: int, size: int, bits: int, rng: Rng) -> Image
 
 def save_points_csv(points: np.ndarray, path) -> None:
     text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points)
-    write_atomic(path, text.encode())
+    write_atomic(path, [text.encode()])
 
 
 def load_points_csv(path) -> np.ndarray:

@@ -37,9 +37,9 @@ import numpy as np
 from .errors import DegenerateChannelError, ShapeError, StateError
 from .tensor import Rng, conv, conv_backward, lu_factor, nchw
 
-# Sampling runs a pointwise conditioner on blocks of samples whose every
-# activation is at most this many doubles: 128 KB, glibc's default mmap
-# threshold. Larger blocks page-faulted on every call, smaller ones cost time.
+# Sampling runs a pointwise conditioner, and Adam its update, on blocks of at
+# most this many doubles per array: 128 KB, glibc's default mmap threshold.
+# Larger blocks page-faulted on every call, smaller ones cost time.
 ACTIVATION_BLOCK = 1 << 14
 
 
@@ -64,9 +64,12 @@ class ChannelAffine:
         nchw(batch)
         mu = batch.mean(axis=(0, 2, 3))
         sigma = batch.std(axis=(0, 2, 3))
-        if not np.all(sigma >= 1e-6):  # false for a NaN std: a NaN entry, or inf - inf
-            bad = int(np.argmin(sigma))  # the first NaN channel, else the smallest std
-            why = "nan: the batch is not finite" if np.isnan(sigma[bad]) else f"{sigma[bad]:.3e} < 1e-6"
+        ok = (sigma >= 1e-6) & (sigma < np.inf)  # both false for a NaN std: a NaN entry, or inf - inf
+        if not ok.all():
+            bad = int(np.argmin(ok))  # the first refused channel
+            s = sigma[bad]
+            why = ("nan: the batch is not finite" if np.isnan(s) else
+                   "inf: the batch variance overflows" if s == np.inf else f"{s:.3e} < 1e-6")
             raise DegenerateChannelError(f"channel {bad} has std {why}")
         self.log_scale[...] = -np.log(sigma)
         self.bias[...] = -mu / sigma

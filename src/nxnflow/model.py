@@ -333,16 +333,21 @@ class MultiScaleModel:
 
     def loss_and_grads(self, x: np.ndarray):
         """(mean NLL in nats over the batch, the gradient of every parameter
-        as one new vector laid out like ``theta``)."""
+        as one new vector laid out like ``theta``). The tape is consumed: each
+        cache is popped before its layer's backward runs, so no activation
+        outlives its backward. An empty batch is a ShapeError."""
         out, tape = self.forward_with_tape(x)
         n = x.shape[0]
+        if n == 0:
+            raise ShapeError("loss_and_grads needs at least one sample")
         loss = float(-(out.logdet + sum(standard_normal_logp(z) for z in out.z_parts)).mean())
         # dL/dlogdet_n = -1/n; dL/dz = z/n for every latent part
         dlogdet = np.full(n, -1.0 / n)
         dz_parts = [z / n for z in out.z_parts]
         layer_grads = []  # each layer's gradient list, the last layer's first
         g = dz_parts.pop()
-        for (_, layer), cache in zip(reversed(self.flow), reversed(tape)):
+        for _, layer in reversed(self.flow):
+            cache = tape.pop()
             if layer is None:
                 g = unsplit_channels(g, dz_parts.pop())
                 continue

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError
+from .layers import ACTIVATION_BLOCK
 from .model import MultiScaleModel, bits_per_dim, flat_views, load_tree
 from .tensor import Rng
 
@@ -74,22 +75,26 @@ class Adam:
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         """One in-place update of the flat parameter vector ``theta`` from
         the gradient ``g`` laid out like it. ``g`` is consumed: it is
-        overwritten with the update."""
+        overwritten with the update. Blocks of ACTIVATION_BLOCK doubles share
+        one 128 KB scratch vector; every operation is elementwise, so the bits
+        are those of whole-vector operations."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        m, v = self._m, self._v
-        tmp = np.empty_like(g)
-        # b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and lr*(m/bc1)/(sqrt(v/bc2)+eps)
-        # in the per-array formula's order, written into g and one scratch vector
-        m *= BETA1
-        m += np.multiply(1 - BETA1, g, out=tmp)
-        v *= BETA2
-        v += np.multiply(np.multiply(1 - BETA2, g, out=tmp), g, out=tmp)
-        np.divide(m, bc1, out=g)
-        g *= self.lr
-        g /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), EPS, out=tmp)
-        theta -= g
+        scratch = np.empty(min(g.size, ACTIVATION_BLOCK))
+        for s in range(0, g.size, ACTIVATION_BLOCK):
+            m, v, gb = (a[s:s + ACTIVATION_BLOCK] for a in (self._m, self._v, g))
+            tmp = scratch[:gb.size]
+            # b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and lr*(m/bc1)/(sqrt(v/bc2)+eps)
+            # in the per-array formula's order, written into g and the scratch
+            m *= BETA1
+            m += np.multiply(1 - BETA1, gb, out=tmp)
+            v *= BETA2
+            v += np.multiply(np.multiply(1 - BETA2, gb, out=tmp), gb, out=tmp)
+            np.divide(m, bc1, out=gb)
+            gb *= self.lr
+            gb /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), EPS, out=tmp)
+            theta[s:s + ACTIVATION_BLOCK] -= gb
 
 
 def clip_global_norm(g: np.ndarray, max_norm: float) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -104,6 +106,22 @@ def first_rank_offset(ck) -> int:
     """Byte offset of the first array's rank in the serialized checkpoint."""
     first = min([*ck.params, *(f"adam/m/{k}" for k in ck.adam_m)])
     return 12 + len(ck.config_text.encode()) + 8 + 4 + 2 + len(first.encode())
+
+
+def packed_nxnf(ck) -> bytes:
+    """The NXNF v5 layout of ``checkpoint``'s docstring, packed field by field."""
+    arrays = dict(ck.params)
+    for what, moments in (("m", ck.adam_m), ("v", ck.adam_v)):
+        arrays.update({f"adam/{what}/{k}": a for k, a in moments.items()})
+    cfg, rng = ck.config_text.encode(), ck.rng_state.encode()
+    out = [b"NXNF", struct.pack("<I", 5), struct.pack("<I", len(cfg)), cfg,
+           struct.pack("<Q", ck.step), struct.pack("<I", len(arrays))]
+    for name in sorted(arrays):
+        a, nb = arrays[name], name.encode()
+        out += [struct.pack("<H", len(nb)), nb, struct.pack("<B", a.ndim),
+                struct.pack(f"<{a.ndim}I", *a.shape), a.astype("<f8").tobytes()]
+    out += [struct.pack("<BQ", 1, ck.adam_t), struct.pack("<I", len(rng)), rng]
+    return b"".join(out)
 
 
 class TestConfigParsing:
@@ -375,6 +393,104 @@ class TestCheckpointFormat:
         assert main(["eval", "--checkpoint", str(p), "--data", "eight_gaussians"]) == 3
         assert capsys.readouterr().err.strip().splitlines() == [
             f"data error: trailing bytes after checkpoint (at byte offset {len(raw)})"]
+
+    def test_save_writes_the_serialized_layout(self, tmp_path):
+        # the streamed save, serialize and a field-by-field packing of the
+        # layout (as the whole-file encoder wrote it) agree byte for byte,
+        # and a file of that packing loads
+        model = random_small_model(Rng(0))
+        params = model.param_tree()
+        ck = dataclasses.replace(untrained_checkpoint(model), step=5, adam_t=4,
+                                 adam_m={k: Rng(2).normal(v.shape) for k, v in params.items()},
+                                 adam_v={k: Rng(3).uniform(v.shape) for k, v in params.items()})
+        p = tmp_path / "m.nxnf"
+        ckpt_io.save(ck, p)
+        assert p.read_bytes() == ckpt_io.serialize(ck) == packed_nxnf(ck)
+        p.write_bytes(packed_nxnf(ck))
+        loaded = ckpt_io.load(p)
+        assert (loaded.config_text, loaded.step, loaded.adam_t, loaded.rng_state) == (
+            ck.config_text, 5, 4, ck.rng_state)
+        for saved, back in ((ck.params, loaded.params), (ck.adam_m, loaded.adam_m),
+                            (ck.adam_v, loaded.adam_v)):
+            assert back.keys() == saved.keys()
+            for k, v in saved.items():
+                np.testing.assert_array_equal(back[k], v)
+
+    def test_save_failing_mid_stream_keeps_the_old_file(self, tmp_path):
+        # the last array's extent 2^32 does not fit its u32 field: the save
+        # fails after the earlier arrays have been written to the temp file
+        model = random_small_model(Rng(0))
+        p = tmp_path / "m.nxnf"
+        ckpt_io.save(untrained_checkpoint(model), p)
+        old = p.read_bytes()
+        bad = untrained_checkpoint(model)
+        bad.params["zz/unpackable"] = np.zeros((0, 2 ** 32))
+        with pytest.raises(struct.error):
+            ckpt_io.save(bad, p)
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.nxnf"]
+
+    def test_payload_past_the_end_is_refused_before_allocation(self, tmp_path):
+        # the first array claims 2^23 doubles (64 MB) in a file far smaller:
+        # a FormatError at the payload's offset, and no 64 MB array is made
+        ck = untrained_checkpoint(random_small_model(Rng(0)))
+        raw = bytearray(ckpt_io.serialize(ck))
+        at = first_rank_offset(ck)
+        raw[at:at + 9] = struct.pack("<B2I", 2, 2 ** 13, 2 ** 10)
+        p = tmp_path / "bad.nxnf"
+        p.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated") as e:
+                ckpt_io.load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.offset == at + 9
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("field", ["config echo", "payload"])
+    def test_file_shrinking_while_loaded_names_offset(self, monkeypatch, field):
+        # the size is read when the file is opened; a read that then comes up
+        # short must not leave np.empty's bytes in an array
+        raw = trained_checkpoint_bytes()
+        rank_at = first_rank_offset(ckpt_io.deserialize(raw))
+        at = {"config echo": 12, "payload": rank_at + 1 + 4 * raw[rank_at]}[field]
+
+        class Shrunk(io.BytesIO):
+            """The first at + 2 bytes of the file, which reports its whole size."""
+            def seek(self, pos, whence=os.SEEK_SET):
+                return len(raw) if whence == os.SEEK_END else super().seek(pos, whence)
+
+        monkeypatch.setattr(ckpt_io, "open", lambda path, mode: Shrunk(raw[:at + 2]),
+                            raising=False)
+        with pytest.raises(FormatError, match="shrank while it was read") as e:
+            ckpt_io.load("checkpoint.nxnf")
+        assert e.value.offset == at
+
+    def test_image_save_and_load_keep_no_copy_of_the_file(self, tmp_path):
+        # save writes each array's own buffer, and load reads each payload
+        # into its array: the file's bytes are never held whole
+        cfg = ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8, levels=2,
+                          hidden_width=32)
+        model = build_model(cfg, 0)
+        params = model.param_tree()
+        ck = dataclasses.replace(untrained_checkpoint(model), adam_t=1,
+                                 adam_m={k: Rng(2).normal(v.shape) for k, v in params.items()},
+                                 adam_v={k: Rng(3).uniform(v.shape) for k, v in params.items()})
+        p = tmp_path / "m.nxnf"
+        peaks = []
+        for run in (lambda: ckpt_io.save(ck, p), lambda: ckpt_io.load(p)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = p.stat().st_size
+        assert size > 6e6
+        assert peaks[0] < 1e6
+        assert peaks[1] < size + 1e6
 
     def test_restored_forward_identical(self, tmp_path):
         model = random_small_model(Rng(3))

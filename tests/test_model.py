@@ -148,6 +148,23 @@ class TestStateTree:
         model.init_actnorms(Rng(1).normal((8, 2)))
         assert model.initialized and np.isfinite(model.theta).all()
 
+    def test_actnorm_init_refuses_a_batch_whose_variance_overflows(self):
+        # every entry is finite, but 1e200 squared is inf: an inf std passed
+        # `sigma >= 1e-6`, set a -inf log_scale and marked the model initialized
+        model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
+                                        hidden_width=4), 0)
+        batch = Rng(1).normal((8, 2))
+        batch[3, 0] = 1e200
+        before = model.theta.copy()
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateChannelError,
+                match="^level0/step0/actnorm: channel 0 has std inf: the batch variance overflows$"):
+            model.init_actnorms(batch)
+        np.testing.assert_array_equal(model.theta, before)
+        assert not model.initialized
+        model.init_actnorms(Rng(1).normal((8, 2)))
+        assert model.initialized and np.isfinite(model.theta).all()
+
     def test_param_tree_stays_live_across_actnorm_init(self):
         model = build_model(ModelConfig(mode="rank2", dim=2, depth_k=2, levels=1,
                                         hidden_width=4), 0)
@@ -220,6 +237,42 @@ class TestStructure:
         loss, grad = model.loss_and_grads(x)
         assert loss == want_loss and grad.shape == model.theta.shape
         np.testing.assert_array_equal(grad, want)
+
+    @pytest.mark.parametrize("mode", ["image", "rank2"])
+    def test_loss_and_grads_on_an_empty_batch_is_a_shape_error(self, mode):
+        # the mean of no losses warned and -1/n divided by zero
+        model = random_small_model(Rng(42), mode)
+        x = np.zeros((0,) + model.config.input_shape())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="at least one sample"):
+                model.loss_and_grads(x)
+
+    def test_image_loss_and_grads_frees_each_cache_after_its_backward(self):
+        # each cache leaves the tape before its layer's backward, so the
+        # activations of the layers already done are freed as the backward
+        # goes; with the whole tape kept to the end the peak was 17 MB
+        cfg = ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8, levels=2,
+                          hidden_width=32)
+        model = build_model(cfg, 0)
+        x = Rng(1).uniform((64, 3, 8, 8))
+        model.init_actnorms(x)
+        forward_with_tape, tapes = model.forward_with_tape, []
+
+        def keep_tape(x):
+            out, tape = forward_with_tape(x)
+            tapes.append(tape)
+            return out, tape
+
+        model.forward_with_tape = keep_tape
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tapes == [[]]
+        assert peak < 13.5e6
 
     def test_set_state_refuses_shift_array(self):
         model = random_small_model(Rng(22))

@@ -71,9 +71,9 @@ def test_fingerprint(capsys, monkeypatch):
     assert [line.split()[0] for line in runs[0]] == ["rank2", "image"]
     for line in runs[0]:
         fields = dict(f.split("=") for f in line.split()[1:])
-        assert fields.keys() == {"seed", "steps", "theta", "log_prob", "sample"}
+        assert fields.keys() == {"seed", "steps", "theta", "log_prob", "sample", "nxnf"}
         assert (fields["seed"], fields["steps"]) == ("0", "2")
-        assert all(len(fields[k]) == 64 for k in ("theta", "log_prob", "sample"))
+        assert all(len(fields[k]) == 64 for k in ("theta", "log_prob", "sample", "nxnf"))
 
 
 def test_coverage():

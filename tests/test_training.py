@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -126,6 +127,31 @@ class TestAdam:
             np.testing.assert_array_equal(opt.m[k], ref_m[k], err_msg=k)
             np.testing.assert_array_equal(opt.v[k], ref_v[k], err_msg=k)
             assert np.shares_memory(opt.m[k], opt._m) and np.shares_memory(opt.v[k], opt._v)
+
+    def test_image_step_runs_in_blocks_with_one_small_scratch(self):
+        # the canonical image theta spans 17 full blocks and a partial one;
+        # one whole-vector scratch was 2.3 MB per step
+        cfg = ModelConfig(mode="image", channels=3, height=8, width=8, depth_k=8, levels=2,
+                          hidden_width=32)
+        theta = MultiScaleModel(cfg, Rng(0)).theta.copy()
+        ref = {"theta": theta.copy()}
+        rng = Rng(1)
+        grad_steps = [{"theta": rng.normal(theta.shape)} for _ in range(50)]
+        opt = Adam({"theta": theta})
+        peaks = []
+        for grads in grad_steps:
+            g = grads["theta"].copy()
+            tracemalloc.start()
+            try:
+                opt.step(theta, g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        ref_m, ref_v = per_array_adam(ref, grad_steps)
+        assert max(peaks) < 0.5e6
+        np.testing.assert_array_equal(theta, ref["theta"])
+        np.testing.assert_array_equal(opt.m["theta"], ref_m["theta"])
+        np.testing.assert_array_equal(opt.v["theta"], ref_v["theta"])
 
     def test_load_state_writes_into_the_views(self):
         params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
